@@ -3,7 +3,7 @@
 // produces, and the committed BENCH_baseline.json). It extracts the
 // benchmark result lines, delegates to benchstat when that tool is on
 // PATH, and otherwise prints its own old/new/delta table — so CI can
-// surface Advance/EvaluateDue regressions without any dependency beyond
+// surface Advance/evaluation regressions without any dependency beyond
 // the Go toolchain.
 //
 // The smoke pass runs every benchmark once (-benchtime=1x), so single

@@ -36,7 +36,7 @@ func TestEngineChurnUnderRace(t *testing.T) {
 			continue
 		}
 		spec := TemporalSpec{Period: time.Second, Deadline: 50 * time.Millisecond, Fresh: time.Second}
-		if err := e.RegisterTemporalE(uint32(u), 150, geom.Pt(float64(u*10), 500), spec, 0); err != nil {
+		if err := e.RegisterTemporalE(uint32(u), 150, geom.Pt(float64(u*10), 500), spec, 0, Route{}); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -54,6 +54,9 @@ func TestQuerySpecValidate(t *testing.T) {
 	}{
 		{"bad agg", func(s *QuerySpec) { s.Agg = 0 }},
 		{"zero radius", func(s *QuerySpec) { s.Radius = 0 }},
+		{"NaN radius", func(s *QuerySpec) { s.Radius = math.NaN() }},
+		{"infinite radius", func(s *QuerySpec) { s.Radius = math.Inf(1) }},
+		{"negative infinite radius", func(s *QuerySpec) { s.Radius = math.Inf(-1) }},
 		{"zero period", func(s *QuerySpec) { s.Period = 0 }},
 		{"zero fresh", func(s *QuerySpec) { s.Fresh = 0 }},
 		{"fresh exceeds period", func(s *QuerySpec) { s.Fresh = 3 * time.Second }},

@@ -3,6 +3,7 @@ package core
 import (
 	"cmp"
 	"fmt"
+	"math"
 	"runtime"
 	"slices"
 	"sync"
@@ -24,6 +25,10 @@ type EngineConfig struct {
 	// Workers is the worker-pool size used to fan independent users'
 	// work across cores (<=0 selects GOMAXPROCS).
 	Workers int
+	// Sampler is the node sampling schedule windowed evaluation reads
+	// against. Nil means readings are taken at the evaluation instant
+	// itself — the instantaneous oracle the batch paths use.
+	Sampler Sampler
 }
 
 func (c EngineConfig) normalized() EngineConfig {
@@ -55,9 +60,10 @@ const queryStripes = 64
 // liveQuery is one registered user query: a radius around a mobile
 // waypoint. The waypoint is published through an atomic pointer so updates
 // never block evaluation. Queries registered through RegisterTemporalE
-// additionally carry streaming evaluation state (see temporal.go), guarded
-// by tmu so per-period evaluations of one query are serialized while
-// distinct queries never contend.
+// additionally carry streaming evaluation state and their serve route (see
+// temporal.go); tmu serializes per-period evaluations of one query while
+// distinct queries never contend. The route is fixed at registration, so
+// no evaluation input changes underneath a running query.
 type liveQuery struct {
 	id       uint32
 	radius   float64
@@ -69,17 +75,6 @@ type liveQuery struct {
 	// the schedule stripe lock can tell a deregistered query from a live one
 	// without touching the registry — see FlushRearms.
 	dead atomic.Bool
-	// sampler overrides the engine-global Sampler for this query's windowed
-	// evaluations, plan is the prefetch plan EvaluateDue consults, warmer
-	// serves pre-staged corridor snapshots to evaluateWindow, and aggIndex
-	// answers whole-disk aggregates from a multiresolution tile pyramid;
-	// all four are nil (pure on-demand, cold-scan behavior) unless
-	// installed via SetQuerySampler/SetQueryPlan/SetQueryWarmer/
-	// SetQueryAggIndex. Guarded by tmu.
-	sampler  AreaSampler
-	plan     PrefetchPlan
-	warmer   CorridorWarmer
-	aggIndex AggIndex
 }
 
 type engineStripe struct {
@@ -98,11 +93,16 @@ type engineStripe struct {
 // now, and what is the aggregate of their readings". The discrete-event
 // Service uses it as its oracle node index; the experiment scale harness
 // drives it directly with tens of thousands of users.
+//
+// Temporal queries (RegisterTemporalE) stream one result per period. Each
+// carries a serve route fixed at registration — cold, planned, planned
+// plus corridor, or pyramid — and the engine's sampling schedule is fixed
+// at construction (EngineConfig.Sampler), so nothing that feeds an
+// evaluation can change once the engine and the query are built.
 type QueryEngine struct {
 	cfg     EngineConfig
 	grid    *geom.ShardedGrid
 	fld     field.Field
-	sampler Sampler
 	stripes [queryStripes]engineStripe
 	nq      atomic.Int64
 	// sched tracks every temporal query's next period boundary, keyed
@@ -192,8 +192,8 @@ func (e *QueryEngine) register(queryID uint32, radius float64, pos geom.Point, t
 	if queryID == 0 {
 		return fmt.Errorf("core: query id must be non-zero")
 	}
-	if radius <= 0 {
-		return fmt.Errorf("core: query radius must be positive")
+	if !(radius > 0) || math.IsInf(radius, 1) {
+		return fmt.Errorf("core: query radius must be positive and finite")
 	}
 	q := &liveQuery{id: queryID, radius: radius, temporal: t}
 	p := pos
@@ -238,11 +238,12 @@ func (e *QueryEngine) Deregister(queryID uint32) {
 
 // PopDue removes and returns every temporal query whose next period
 // boundary is at or before now, appended to buf in ascending (due, id)
-// order. A popped query is the caller's to drive: each EvaluateDue
-// re-arms it at its following boundary, so a clock driver loops
-// EvaluateDue until the next boundary passes now and the schedule stays
-// consistent. When no period is due the call is an O(1) peek — this is
-// what makes an idle Advance independent of the subscriber count.
+// order. A popped query is the caller's to drive: each EvaluateDueBatch
+// records its following boundary, so a clock driver loops EvaluateDueBatch
+// until the next boundary passes now and then flushes the batches
+// (FlushRearms) to keep the schedule consistent. When no period is due the
+// call is an O(1) peek — this is what makes an idle Advance independent of
+// the subscriber count.
 func (e *QueryEngine) PopDue(now sim.Time, buf []DueEntry) []DueEntry {
 	return e.sched.PopDue(now, buf)
 }

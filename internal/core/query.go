@@ -71,8 +71,8 @@ func (s QuerySpec) Validate() error {
 	switch {
 	case !s.Agg.Valid():
 		return fmt.Errorf("core: invalid aggregation %v", s.Agg)
-	case s.Radius <= 0:
-		return fmt.Errorf("core: query radius %v must be positive", s.Radius)
+	case !(s.Radius > 0) || math.IsInf(s.Radius, 1):
+		return fmt.Errorf("core: query radius %v must be positive and finite", s.Radius)
 	case s.Period <= 0:
 		return fmt.Errorf("core: query period %v must be positive", s.Period)
 	case s.Fresh <= 0:
@@ -114,6 +114,14 @@ func NewPartial() Partial {
 
 // AddReading folds one sensor reading from node id into p.
 func (p *Partial) AddReading(id radio.NodeID, v float64) {
+	p.addValue(v)
+	p.Contribs = append(p.Contribs, id)
+}
+
+// addValue folds one reading into the aggregate without recording its
+// contributor: the streaming path lists contributors in
+// WindowResult.Nodes instead.
+func (p *Partial) addValue(v float64) {
 	p.Count++
 	p.Sum += v
 	if v < p.Min {
@@ -122,7 +130,6 @@ func (p *Partial) AddReading(id radio.NodeID, v float64) {
 	if v > p.Max {
 		p.Max = v
 	}
-	p.Contribs = append(p.Contribs, id)
 }
 
 // Merge folds another partial aggregate into p.

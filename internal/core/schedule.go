@@ -170,11 +170,11 @@ func (s *Schedule) NextDue() (DueEntry, bool) {
 
 // PopDue removes and returns every entry with Due <= now, appended to buf
 // in ascending (Due, ID) order. Popped queries stay out of the schedule
-// until rescheduled (EvaluateDue re-arms a query at its next boundary), so
-// the caller owns driving each popped query forward. When nothing is due
-// the call is a lock-free scan of the per-stripe heads: O(stripes), no
-// allocation — this is what keeps an idle Advance independent of the
-// subscriber count.
+// until rescheduled (a flushed EvaluateDueBatch re-arms a query at its
+// next boundary), so the caller owns driving each popped query forward.
+// When nothing is due the call is a lock-free scan of the per-stripe
+// heads: O(stripes), no allocation — this is what keeps an idle Advance
+// independent of the subscriber count.
 func (s *Schedule) PopDue(now sim.Time, buf []DueEntry) []DueEntry {
 	due := false
 	for i := range s.stripes {

@@ -82,7 +82,7 @@ func TestSchedulePropertyAgainstBruteForce(t *testing.T) {
 		if _, live := shadow[id]; live {
 			return
 		}
-		if err := e.RegisterTemporalE(id, 5, geom.Pt(50, 50), spec(id), now); err != nil {
+		if err := e.RegisterTemporalE(id, 5, geom.Pt(50, 50), spec(id), now, Route{}); err != nil {
 			t.Fatal(err)
 		}
 		shadow[id] = now + spec(id).Period
@@ -183,7 +183,7 @@ func TestScheduleConcurrentChurn(t *testing.T) {
 				now := sim.Time(rng.Int63n(int64(time.Minute)))
 				switch rng.Intn(4) {
 				case 0:
-					_ = e.RegisterTemporalE(id, 5, geom.Pt(50, 50), spec, now)
+					_ = e.RegisterTemporalE(id, 5, geom.Pt(50, 50), spec, now, Route{})
 				case 1:
 					e.Deregister(id)
 				case 2:

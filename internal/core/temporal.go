@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"mobiquery/internal/geom"
+	"mobiquery/internal/obs"
 	"mobiquery/internal/radio"
 	"mobiquery/internal/sim"
 )
@@ -18,31 +19,37 @@ import (
 // (same arguments, same answer) and safe for concurrent use.
 type Sampler func(id int32, at sim.Time) (sim.Time, bool)
 
-// AreaSampler is the per-query form of Sampler used by prefetch-planned
-// queries: it additionally sees the node's position — so a plan can decide
-// whether the node falls inside a predicted pickup area — and reports
-// whether the reading it served came from the prefetch plan rather than
-// the node sampling schedule. Like Sampler it must be pure and safe for
-// concurrent use.
-type AreaSampler func(id int32, pos geom.Point, at sim.Time) (t sim.Time, ok bool, prefetched bool)
+// PlannedPeriod is a prefetch plan's view of one period boundary, taken
+// as one snapshot per evaluation (so a re-plan racing the evaluation
+// cannot split sampling, staging and warmup across two plans).
+type PlannedPeriod struct {
+	// Staged reports a chain that met its forward deadline with readings
+	// inside the hold-time ledger: a node inside the predicted pickup
+	// circle (Pickup, Radius) then reads the value captured at Capture
+	// instead of its sampling schedule, and the answer was ready at the
+	// pickup point at Ready. Warmup marks a covered period whose chain
+	// missed its forward deadline, which the evaluation serves on-demand.
+	// Both are false for a boundary the plan does not cover.
+	Staged  bool
+	Warmup  bool
+	Pickup  geom.Point
+	Radius  float64
+	Capture sim.Time
+	Ready   sim.Time
+}
 
-// PrefetchPlan is what a temporal query consults about its prefetch state;
-// internal/prefetch.Planner implements it. A nil plan (the default) keeps
-// the on-demand behavior exactly.
+// PrefetchPlan is the planned route's sampling and crediting oracle;
+// internal/prefetch.Planner implements it. The evaluation asks it once per
+// period: in-area nodes inside the pickup circle take the planned reading,
+// and a period staged by its boundary is credited as evaluated there.
 type PrefetchPlan interface {
-	// PeriodStatus returns the plan's view of the period due at `due`, as
-	// one atomic snapshot (so a re-plan racing the evaluation cannot split
-	// staging and warmup across two plans): ready is when the prefetched
-	// answer was staged at the user's pickup point (meaningful only when
-	// staged is true); warmup marks a covered period whose chain missed
-	// its forward deadline, which the evaluation then serves on-demand.
-	PeriodStatus(due sim.Time) (ready sim.Time, staged, warmup bool)
+	PlanPeriod(due sim.Time) PlannedPeriod
 }
 
 // CorridorWarmer is the spatial companion of PrefetchPlan: it holds
 // pre-staged node snapshots along the user's predicted corridor;
-// internal/corridor.Cache implements it. A nil warmer (the default) keeps
-// the cold grid scan exactly.
+// internal/corridor.Cache implements it. It rides only on a planned route
+// (Route.Warmer).
 type CorridorWarmer interface {
 	// VisitStaged streams the staged nodes of the boundary due at `due`
 	// that fall inside the actual query circle (center, radius), in
@@ -74,20 +81,49 @@ type AggServe struct {
 	Newest       sim.Time
 }
 
-// AggIndex is the aggregate-index hook of a temporal query:
+// AggIndex is the pyramid route of a temporal query:
 // internal/pyramid.Pyramid implements it. ServeWindow answers the whole
 // freshness-windowed disk aggregate at a period boundary from precomputed
 // multiresolution tile partials, or reports ok=false when it cannot prove
 // the answer equals the cold radius scan — no epoch ingested for this
 // boundary, a freshness window it was not built under, or the node index
-// mutated since ingest. A true return must account exactly the member set
-// the cold scan would: same in-area nodes, same freshness decisions, same
-// Count/Min/Max bit for bit (Sum is folded in the index's deterministic
-// tile-major order, which differs from the cold scan's id-major order only
-// by float-addition grouping). A nil index (the default) keeps the cold
-// path exactly.
+// mutated since ingest — and the period is then scanned cold. A true
+// return must account exactly the member set the cold scan would: same
+// in-area nodes, same freshness decisions, same Count/Min/Max bit for bit
+// (Sum is folded in the index's deterministic tile-major order, which
+// differs from the cold scan's id-major order only by float-addition
+// grouping).
 type AggIndex interface {
 	ServeWindow(due sim.Time, center geom.Point, radius float64, fresh time.Duration) (AggServe, bool)
+}
+
+// Route is a temporal query's serve route, fixed at registration. It has
+// four legal shapes:
+//
+//   - cold (the zero Route): every period is a grid radius scan over the
+//     engine's sampling schedule;
+//   - planned (Plan): the scan serves plan-staged readings and credits
+//     staged periods at their boundary;
+//   - planned plus corridor (Plan and Warmer): a staged corridor snapshot
+//     replaces the scan whenever the warmer can prove it exact;
+//   - pyramid (Index): the aggregate index answers the whole disk, with the
+//     cold scan as its fallback.
+//
+// RegisterTemporalE rejects every other combination.
+type Route struct {
+	Plan   PrefetchPlan
+	Warmer CorridorWarmer
+	Index  AggIndex
+}
+
+func (r Route) validate() error {
+	switch {
+	case r.Warmer != nil && r.Plan == nil:
+		return fmt.Errorf("core: a corridor warmer rides on a prefetch plan")
+	case r.Index != nil && (r.Plan != nil || r.Warmer != nil):
+		return fmt.Errorf("core: an aggregate index serves alone, without a plan or warmer")
+	}
+	return nil
 }
 
 // TemporalSpec is the temporal contract of a streaming query: one result
@@ -129,36 +165,67 @@ func (ts TemporalSpec) Validate() error {
 }
 
 // temporalState is the per-query evaluation state behind the streaming
-// methods: which period is due next, the newest reading consumed so far,
-// and the deadline ledger. Guarded by its own mutex so streaming
+// methods: the immutable route, which period is due next, the newest
+// reading consumed so far, and the deadline ledger. Everything but spec,
+// t0 and route is guarded by the owning liveQuery's tmu, so streaming
 // evaluations of distinct queries never contend.
 type temporalState struct {
 	spec        TemporalSpec
 	t0          sim.Time
+	route       Route
 	nextK       int // 1-based index of the next period to evaluate
 	lastReading sim.Time
 	hasReading  bool
 	evaluated   int
 	late        int
-	// scratch is the window evaluation's hit buffer and nodes the
-	// contributor-id buffer, both reused across this query's periods (a
-	// dense prefetch Advance used to reallocate Nodes per evaluation).
-	// Guarded by the owning liveQuery's tmu like the rest of the state, so
-	// no pooling or clearing discipline is needed.
-	scratch []areaHit
-	nodes   []radio.NodeID
+	// scan is the window evaluation's per-node collection state and visit
+	// its visitor, bound once at registration so handing it to a corridor
+	// warmer costs no allocation per period. nodes is the contributor-id
+	// buffer; it and scan.hits are reused across this query's periods.
+	scan  windowScan
+	visit func(id int32, pos geom.Point)
+	nodes []radio.NodeID
 	// winRing holds the last spec.Window single-period evaluations of a
-	// windowed query (allocated on first use, entries reused in place) and
-	// winContribs the merged-contributor scratch; winNext/winLen are the
-	// ring cursor and fill. Guarded by tmu like the rest.
-	winRing     []windowPeriod
-	winNext     int
-	winLen      int
-	winContribs []radio.NodeID
+	// windowed query (allocated on first use, entries reused in place);
+	// winNext/winLen are the ring cursor and fill.
+	winRing []windowPeriod
+	winNext int
+	winLen  int
+}
+
+// windowScan collects one windowed evaluation's in-area nodes: each is
+// freshness-windowed against its reading — the plan's capture inside the
+// pickup circle, else the engine's sampling schedule — and kept as a hit
+// or counted stale. sampler and fresh are fixed at registration; the rest
+// is reset per period.
+type windowScan struct {
+	sampler Sampler
+	fresh   time.Duration
+	due     sim.Time
+	plan    PlannedPeriod
+	area    int
+	stale   int
+	hits    []areaHit
+}
+
+func (s *windowScan) add(id int32, pos geom.Point) {
+	s.area++
+	sample, ok, prefetched := s.due, true, false
+	switch {
+	case s.plan.Staged && pos.Within(s.plan.Pickup, s.plan.Radius):
+		sample, prefetched = s.plan.Capture, true
+	case s.sampler != nil:
+		sample, ok = s.sampler(id, s.due)
+	}
+	if !ok || (s.fresh > 0 && s.due-sample > s.fresh) || sample > s.due {
+		s.stale++
+		return
+	}
+	s.hits = append(s.hits, areaHit{id: id, pos: pos, sample: sample, prefetched: prefetched})
 }
 
 // windowPeriod is one single-period evaluation retained for N-period
-// window merging. Contribs in data points into entry-owned storage.
+// window merging (its data carries no contributor ids).
 type windowPeriod struct {
 	due        sim.Time
 	data       Partial
@@ -185,10 +252,11 @@ type TemporalStats struct {
 
 // WindowResult is one period's freshness-windowed evaluation. The embedded
 // AreaResult covers only the fresh contributors; stale in-area nodes are
-// counted but excluded from the aggregate.
+// counted but excluded from the aggregate. Contributor ids are listed in
+// Nodes only: Data.Contribs stays nil on the streaming path.
 //
 // Nodes aliases a per-query scratch buffer: it is valid until the same
-// query's next EvaluateDue, which reuses the storage. Callers that keep
+// query's next evaluation, which reuses the storage. Callers that keep
 // contributor ids across periods must copy them.
 type WindowResult struct {
 	AreaResult
@@ -213,18 +281,15 @@ type WindowResult struct {
 	// for queries without a plan.
 	Prefetched int
 	Warmup     bool
-	// CorridorHit reports the period's node enumeration was served from the
-	// query's corridor warmer (a warm, pre-staged buffer) rather than a
-	// cold grid radius scan. The result values are identical either way;
-	// only the evaluation cost differs. Always false without a warmer.
-	CorridorHit bool
-	// PyramidHit reports the period's aggregate was served from the query's
-	// aggregate index (SetQueryAggIndex) instead of a cold radius scan.
-	// Values and accounting are identical either way; Nodes and
-	// Data.Contribs stay empty on a pyramid serve, since skipping the
-	// per-node enumeration is exactly what the index buys. Always false
-	// without an index.
-	PyramidHit bool
+	// Class is the machinery that served the period: ClassCold for a grid
+	// scan over the sampling schedule, ClassPlanned for a planned route's
+	// scan (including a period its corridor warmer declined),
+	// ClassCorridor for a warm staged snapshot, ClassPyramid for an
+	// aggregate-index answer (a declined index serves ClassCold). Values
+	// are identical whichever class serves; a pyramid serve leaves Nodes
+	// empty, since skipping the per-node enumeration is what the index
+	// buys.
+	Class obs.Class
 	// WindowPeriods is how many period boundaries the result aggregates
 	// over (spec.Window at steady state, ramping up from 1 at session
 	// start); zero for plain per-period queries.
@@ -246,90 +311,22 @@ func ScheduleSampler(period time.Duration, phase func(id int32) sim.Time) Sample
 	}
 }
 
-// SetSampler installs the node sampling schedule used by windowed
-// evaluation. A nil sampler (the default) means readings are taken at the
-// evaluation instant itself — the instantaneous oracle the batch paths
-// use. Must be called before any evaluation starts; it is not synchronized
-// with concurrent evaluations.
-func (e *QueryEngine) SetSampler(s Sampler) { e.sampler = s }
-
-// SetQuerySampler installs a per-query sampler on a temporal query,
-// overriding the engine-global Sampler for that query's windowed
-// evaluations — this is how a prefetch planner feeds planned readings into
-// evaluation. It reports whether the query exists and carries a temporal
-// contract. Safe to call concurrently with evaluations: the new sampler
-// takes effect from the next period.
-func (e *QueryEngine) SetQuerySampler(queryID uint32, s AreaSampler) bool {
-	q := e.temporal(queryID)
-	if q == nil {
-		return false
-	}
-	q.tmu.Lock()
-	q.sampler = s
-	q.tmu.Unlock()
-	return true
-}
-
-// SetQueryPlan attaches a prefetch plan to a temporal query: EvaluateDue
-// then credits periods the plan staged by their boundary as evaluated at
-// the boundary, and flags warmup periods. It reports whether the query
-// exists and carries a temporal contract.
-func (e *QueryEngine) SetQueryPlan(queryID uint32, p PrefetchPlan) bool {
-	q := e.temporal(queryID)
-	if q == nil {
-		return false
-	}
-	q.tmu.Lock()
-	q.plan = p
-	q.tmu.Unlock()
-	return true
-}
-
-// SetQueryWarmer attaches a corridor warmer to a temporal query: windowed
-// evaluations then ask it for a pre-staged node snapshot before falling
-// back to the cold grid scan, and report warm serves in
-// WindowResult.CorridorHit. A nil warmer (the default) keeps the cold path
-// bit-identical. It reports whether the query exists and carries a
-// temporal contract.
-func (e *QueryEngine) SetQueryWarmer(queryID uint32, w CorridorWarmer) bool {
-	q := e.temporal(queryID)
-	if q == nil {
-		return false
-	}
-	q.tmu.Lock()
-	q.warmer = w
-	q.tmu.Unlock()
-	return true
-}
-
-// SetQueryAggIndex attaches an aggregate index to a temporal query:
-// windowed evaluations then ask it for the whole-disk aggregate before
-// falling back to the cold radius scan (or the corridor warmer, which takes
-// precedence when both are attached), and report index serves in
-// WindowResult.PyramidHit. The index is consulted only while the query has
-// no per-query sampler: a prefetch planner's sampler serves plan-staged
-// readings the index never ingested, so those queries always take their
-// own path. It reports whether the query exists and carries a temporal
-// contract.
-func (e *QueryEngine) SetQueryAggIndex(queryID uint32, ix AggIndex) bool {
-	q := e.temporal(queryID)
-	if q == nil {
-		return false
-	}
-	q.tmu.Lock()
-	q.aggIndex = ix
-	q.tmu.Unlock()
-	return true
-}
-
-// RegisterTemporalE registers a live query carrying a temporal contract:
-// periods are counted from t0, with the first result due at t0+Period.
-// The query is then driven with NextDue/EvaluateDue instead of Evaluate.
-func (e *QueryEngine) RegisterTemporalE(queryID uint32, radius float64, pos geom.Point, spec TemporalSpec, t0 sim.Time) error {
+// RegisterTemporalE registers a live query carrying a temporal contract
+// and its serve route: periods are counted from t0, with the first result
+// due at t0+Period. The query is then driven with NextDue and
+// EvaluateDueBatch instead of Evaluate. The route is fixed for the query's
+// lifetime; an illegal route shape is an error (see Route).
+func (e *QueryEngine) RegisterTemporalE(queryID uint32, radius float64, pos geom.Point, spec TemporalSpec, t0 sim.Time, route Route) error {
 	if err := spec.Validate(); err != nil {
 		return err
 	}
-	return e.register(queryID, radius, pos, &temporalState{spec: spec, t0: t0, nextK: 1})
+	if err := route.validate(); err != nil {
+		return err
+	}
+	t := &temporalState{spec: spec, t0: t0, route: route, nextK: 1}
+	t.scan.sampler, t.scan.fresh = e.cfg.Sampler, spec.Fresh
+	t.visit = t.scan.add
+	return e.register(queryID, radius, pos, t)
 }
 
 // temporal returns the query and its temporal state, or nil if the query
@@ -359,32 +356,24 @@ func (e *QueryEngine) NextDue(queryID uint32) (k int, due sim.Time, ok bool) {
 	return k, due, true
 }
 
-// EvaluateDue evaluates the next period of a temporal query if its
-// boundary has been reached by now. It returns ok=false when the query is
-// unknown, has no temporal contract, or its next period is not yet due.
-// The result is computed as of the period boundary — waypoint read at call
-// time, readings as-of the boundary, freshness measured against it — while
-// lateness compares now against the boundary plus the deadline slack.
-// Calls for distinct queries proceed in parallel; calls for one query are
-// serialized and advance its period counter exactly once each.
-func (e *QueryEngine) EvaluateDue(queryID uint32, now sim.Time) (WindowResult, bool) {
-	return e.evaluateDue(queryID, now, nil)
-}
-
-// EvaluateDueBatch is EvaluateDue with the schedule re-arm deferred into rb
-// instead of taking the schedule stripe lock per call: a worker draining a
-// due batch accumulates its re-arms and the driver flushes them once per
-// stripe with FlushRearms after the batch completes. Between the evaluation
-// and the flush the query is absent from the schedule — identical to the
-// window EvaluateDue itself has between pop and re-arm, just longer — and
-// NextDue (computed from temporal state, not the schedule) still reports
-// the following boundary, so drain loops are unaffected. rb must be
-// flushed before the next PopDue that should see these boundaries.
+// EvaluateDueBatch evaluates the next period of a temporal query if its
+// boundary has been reached by now, deferring the query's schedule re-arm
+// into rb. It returns ok=false when the query is unknown, has no temporal
+// contract, or its next period is not yet due. The result is computed as
+// of the period boundary — waypoint read at call time, readings as-of the
+// boundary, freshness measured against it — while lateness compares now
+// against the boundary plus the deadline slack. Calls for distinct queries
+// proceed in parallel; calls for one query are serialized and advance its
+// period counter exactly once each.
+//
+// A clock driver pops the due queries (PopDue), drains each on a dispatch
+// worker into that worker's RearmBatch, and flushes every batch with
+// FlushRearms, which takes each schedule stripe lock once. Between the
+// evaluation and the flush the query is absent from the schedule; NextDue
+// (computed from temporal state, not the schedule) still reports the
+// following boundary, so drain loops are unaffected. rb must be flushed
+// before the next PopDue that should see these boundaries.
 func (e *QueryEngine) EvaluateDueBatch(queryID uint32, now sim.Time, rb *RearmBatch) (WindowResult, bool) {
-	return e.evaluateDue(queryID, now, rb)
-}
-
-func (e *QueryEngine) evaluateDue(queryID uint32, now sim.Time, rb *RearmBatch) (WindowResult, bool) {
 	q := e.temporal(queryID)
 	if q == nil {
 		return WindowResult{}, false
@@ -396,11 +385,11 @@ func (e *QueryEngine) evaluateDue(queryID uint32, now sim.Time, rb *RearmBatch) 
 	if due > now {
 		return WindowResult{}, false
 	}
-	res := e.evaluateWindow(q, t.spec, due)
+	res, pp := e.evaluateWindow(q, due)
 	res.K = t.nextK
 	res.Due = due
 	res.EvaluatedAt = now
-	if q.plan != nil {
+	if t.route.Plan != nil {
 		// A period the prefetch chain staged at the pickup point by its
 		// boundary was materially available to the user then — the clock
 		// tick that collects it merely relays a finished answer, so the
@@ -411,16 +400,12 @@ func (e *QueryEngine) evaluateDue(queryID uint32, now sim.Time, rb *RearmBatch) 
 		// pickup circle means the on-demand remainder only existed at the
 		// tick, so the period keeps honest tick/lateness accounting, as do
 		// unstaged (warmup) periods.
-		ready, staged, warmup := q.plan.PeriodStatus(due)
 		covered := res.Prefetched == res.Data.Count &&
 			(res.Data.Count > 0 || res.AreaNodes == 0)
-		if staged && ready <= now && covered {
-			if ready < due {
-				ready = due
-			}
-			res.EvaluatedAt = ready
+		if pp.Staged && pp.Ready <= now && covered {
+			res.EvaluatedAt = max(pp.Ready, due)
 		}
-		res.Warmup = warmup
+		res.Warmup = pp.Warmup
 	}
 	if res.EvaluatedAt > due+t.spec.Deadline {
 		res.Late = true
@@ -434,27 +419,10 @@ func (e *QueryEngine) evaluateDue(queryID uint32, now sim.Time, rb *RearmBatch) 
 	if res.Late {
 		t.late++
 	}
-	// Re-arm the due-period schedule at the next boundary so PopDue keeps
-	// handing this query out exactly when a period is due. Batched callers
-	// only record the boundary here; FlushRearms applies it later under the
-	// schedule stripe lock, skipping queries whose dead flag a Deregister
-	// set in the meantime. The immediate path re-arms now — but only if q
-	// is still the registered query: a Deregister (or Deregister plus
-	// re-register of the same id) that raced this evaluation owns the
-	// schedule entry now, and re-arming at our stale boundary would
-	// resurrect a removed entry or clobber the new registration's. The
-	// stripe read lock excludes both (they write under the stripe lock).
-	next := t.t0 + sim.Time(t.nextK)*t.spec.Period
-	if rb != nil {
-		rb.add(q, next, e.sched.stripeIndex(q.id))
-		return res, true
-	}
-	st := e.stripe(q.id)
-	st.mu.RLock()
-	if st.queries[q.id] == q {
-		e.sched.Upsert(q.id, next)
-	}
-	st.mu.RUnlock()
+	// Record the next boundary; FlushRearms applies it under the schedule
+	// stripe lock, skipping queries whose dead flag a Deregister set in
+	// the meantime.
+	rb.add(q, t.t0+sim.Time(t.nextK)*t.spec.Period, e.sched.stripeIndex(q.id))
 	return res, true
 }
 
@@ -478,97 +446,45 @@ func (e *QueryEngine) Stats(queryID uint32) (TemporalStats, bool) {
 }
 
 // evaluateWindow computes the freshness-windowed area result of q as of
-// the period boundary `due`. Caller holds q.tmu. A corridor warmer, when
-// attached, serves the boundary from its pre-staged snapshot whenever it
-// can prove the snapshot is exact (covered and current); otherwise — and
-// always without a warmer — the cold radius scan runs, bit-identical by
-// contract. The warm path lives in its own function so the cold path's
-// visit closure never escapes through the warmer interface: queries
-// without a corridor pay nothing for its existence.
-func (e *QueryEngine) evaluateWindow(q *liveQuery, spec TemporalSpec, due sim.Time) WindowResult {
-	if q.warmer != nil {
-		if out, ok := e.evaluateWindowWarm(q, spec, due); ok {
-			return out
-		}
-	}
-	if q.aggIndex != nil && q.sampler == nil {
-		if out, ok := e.evaluateWindowAgg(q, spec, due); ok {
-			return out
-		}
-	}
+// the period boundary `due`, choosing the node source once from the
+// query's route: the aggregate index's whole-disk answer, a corridor
+// warmer's staged snapshot, or the grid radius scan — the fallback of
+// both, bit-identical by their contracts. It also returns the plan's view
+// of the period (zero without a plan) for the caller's deadline credit.
+// Caller holds q.tmu.
+func (e *QueryEngine) evaluateWindow(q *liveQuery, due sim.Time) (WindowResult, PlannedPeriod) {
+	t := q.temporal
 	center := *q.pos.Load()
 	out := WindowResult{
 		AreaResult: AreaResult{QueryID: q.id, Center: center, Radius: q.radius, Data: NewPartial()},
 	}
-	hits := q.temporal.scratch[:0]
-	e.grid.VisitWithin(center, q.radius, func(id int32, pos geom.Point) {
-		e.addAreaHit(q, spec, due, &out, &hits, id, pos)
-	})
-	e.finishWindow(q, &out, hits, due)
-	return out
-}
-
-// evaluateWindowWarm asks the query's corridor warmer for the boundary's
-// staged snapshot; ok is false when the warmer declined (nothing staged,
-// stale snapshot, or a mispredict) and the caller must run the cold scan.
-// Caller holds q.tmu.
-func (e *QueryEngine) evaluateWindowWarm(q *liveQuery, spec TemporalSpec, due sim.Time) (WindowResult, bool) {
-	center := *q.pos.Load()
-	out := WindowResult{
-		AreaResult:  AreaResult{QueryID: q.id, Center: center, Radius: q.radius, Data: NewPartial()},
-		CorridorHit: true,
+	r := &t.route
+	if r.Index != nil {
+		if sv, ok := r.Index.ServeWindow(due, center, q.radius, t.spec.Fresh); ok {
+			out.Data = sv.Data
+			out.Class = obs.ClassPyramid
+			out.AreaNodes, out.StaleNodes, out.MaxStaleness = sv.AreaNodes, sv.StaleNodes, sv.MaxStaleness
+			if sv.Data.Count > 0 && (!t.hasReading || sv.Newest > t.lastReading) {
+				t.lastReading = sv.Newest
+				t.hasReading = true
+			}
+			return out, PlannedPeriod{}
+		}
 	}
-	hits := q.temporal.scratch[:0]
-	if !q.warmer.VisitStaged(due, center, q.radius, func(id int32, pos geom.Point) {
-		e.addAreaHit(q, spec, due, &out, &hits, id, pos)
-	}) {
-		return WindowResult{}, false
+	sc := &t.scan
+	sc.due, sc.plan, sc.area, sc.stale, sc.hits = due, PlannedPeriod{}, 0, 0, sc.hits[:0]
+	if r.Plan != nil {
+		sc.plan = r.Plan.PlanPeriod(due)
+		out.Class = obs.ClassPlanned
 	}
-	e.finishWindow(q, &out, hits, due)
-	return out, true
-}
-
-// evaluateWindowAgg asks the query's aggregate index for the boundary's
-// whole-disk aggregate; ok is false when the index declined (no epoch for
-// the boundary, freshness mismatch, or node-index skew since ingest) and
-// the caller must run the cold scan. Caller holds q.tmu.
-func (e *QueryEngine) evaluateWindowAgg(q *liveQuery, spec TemporalSpec, due sim.Time) (WindowResult, bool) {
-	center := *q.pos.Load()
-	sv, ok := q.aggIndex.ServeWindow(due, center, q.radius, spec.Fresh)
-	if !ok {
-		return WindowResult{}, false
+	if r.Warmer != nil && r.Warmer.VisitStaged(due, center, q.radius, t.visit) {
+		out.Class = obs.ClassCorridor
+	} else {
+		e.grid.VisitWithin(center, q.radius, t.visit)
 	}
-	out := WindowResult{
-		AreaResult:   AreaResult{QueryID: q.id, Center: center, Radius: q.radius, Data: sv.Data},
-		PyramidHit:   true,
-		AreaNodes:    sv.AreaNodes,
-		StaleNodes:   sv.StaleNodes,
-		MaxStaleness: sv.MaxStaleness,
-	}
-	t := q.temporal
-	if sv.Data.Count > 0 && (!t.hasReading || sv.Newest > t.lastReading) {
-		t.lastReading = sv.Newest
-		t.hasReading = true
-	}
-	return out, true
-}
-
-// addAreaHit is the shared per-node collection body of a windowed
-// evaluation: freshness-window the node's reading and record the hit.
-func (e *QueryEngine) addAreaHit(q *liveQuery, spec TemporalSpec, due sim.Time, out *WindowResult, hits *[]areaHit, id int32, pos geom.Point) {
-	out.AreaNodes++
-	sample, ok, prefetched := due, true, false
-	switch {
-	case q.sampler != nil:
-		sample, ok, prefetched = q.sampler(id, pos, due)
-	case e.sampler != nil:
-		sample, ok = e.sampler(id, due)
-	}
-	if !ok || (spec.Fresh > 0 && due-sample > spec.Fresh) || sample > due {
-		out.StaleNodes++
-		return
-	}
-	*hits = append(*hits, areaHit{id: id, pos: pos, sample: sample, prefetched: prefetched})
+	out.AreaNodes, out.StaleNodes = sc.area, sc.stale
+	e.finishWindow(t, &out, due)
+	return out, sc.plan
 }
 
 // mergeWindow folds the current single-period evaluation into the query's
@@ -576,31 +492,29 @@ func (e *QueryEngine) addAreaHit(q *liveQuery, spec TemporalSpec, due sim.Time, 
 // periods' aggregates merged oldest first (each period was evaluated at its
 // own boundary position), with summed node accounting and staleness
 // re-aged to the current boundary. The current period's timing fields
-// (Due, EvaluatedAt, Late, PyramidHit, ...) are kept: the window is a data
+// (Due, EvaluatedAt, Late, Class, ...) are kept: the window is a data
 // aggregate, not a delivery contract. Caller holds the owning query's tmu.
 func (t *temporalState) mergeWindow(cur WindowResult) WindowResult {
 	w := t.spec.Window
 	if t.winRing == nil {
 		t.winRing = make([]windowPeriod, w)
 	}
-	e := &t.winRing[t.winNext]
+	t.winRing[t.winNext] = windowPeriod{
+		due:        cur.Due,
+		data:       cur.Data,
+		areaNodes:  cur.AreaNodes,
+		staleNodes: cur.StaleNodes,
+		maxStale:   cur.MaxStaleness,
+		prefetched: cur.Prefetched,
+	}
 	t.winNext = (t.winNext + 1) % w
 	if t.winLen < w {
 		t.winLen++
 	}
-	e.due = cur.Due
-	e.areaNodes = cur.AreaNodes
-	e.staleNodes = cur.StaleNodes
-	e.maxStale = cur.MaxStaleness
-	e.prefetched = cur.Prefetched
-	contribs := e.data.Contribs
-	e.data = cur.Data
-	e.data.Contribs = append(contribs[:0], cur.Data.Contribs...)
 
 	out := cur
 	out.Data = NewPartial()
 	out.AreaNodes, out.StaleNodes, out.MaxStaleness, out.Prefetched = 0, 0, 0, 0
-	t.winContribs = t.winContribs[:0]
 	for i := 0; i < t.winLen; i++ {
 		p := &t.winRing[(t.winNext+w-t.winLen+i)%w]
 		out.Data.Count += p.data.Count
@@ -618,29 +532,27 @@ func (t *temporalState) mergeWindow(cur WindowResult) WindowResult {
 				out.MaxStaleness = aged
 			}
 		}
-		t.winContribs = append(t.winContribs, p.data.Contribs...)
 		out.AreaNodes += p.areaNodes
 		out.StaleNodes += p.staleNodes
 		out.Prefetched += p.prefetched
 	}
-	out.Data.Contribs = t.winContribs
 	out.WindowPeriods = t.winLen
 	return out
 }
 
-// finishWindow sorts the collected hits and folds them into the result,
-// reusing the query's scratch buffers. Caller holds q.tmu.
-func (e *QueryEngine) finishWindow(q *liveQuery, out *WindowResult, hits []areaHit, due sim.Time) {
+// finishWindow sorts the scan's hits and folds them into the result,
+// reusing the query's scratch buffers. Caller holds the owning query's tmu.
+func (e *QueryEngine) finishWindow(t *temporalState, out *WindowResult, due sim.Time) {
 	// Sort by id so Nodes and float accumulation order are deterministic
 	// regardless of shard layout, exactly as the instantaneous path does.
+	hits := t.scan.hits
 	slices.SortFunc(hits, hitsByID)
-	t := q.temporal
 	// One Grow on the first period instead of append doubling; every later
 	// period of this query reuses the buffer allocation-free.
 	out.Nodes = slices.Grow(t.nodes[:0], len(hits))
 	for _, h := range hits {
 		out.Nodes = append(out.Nodes, radio.NodeID(h.id))
-		out.Data.AddReading(radio.NodeID(h.id), e.fld.Sample(h.pos, h.sample))
+		out.Data.addValue(e.fld.Sample(h.pos, h.sample))
 		if h.prefetched {
 			out.Prefetched++
 		}
@@ -652,6 +564,5 @@ func (e *QueryEngine) finishWindow(q *liveQuery, out *WindowResult, hits []areaH
 			t.hasReading = true
 		}
 	}
-	t.scratch = hits
 	t.nodes = out.Nodes
 }

@@ -7,8 +7,19 @@ import (
 
 	"mobiquery/internal/field"
 	"mobiquery/internal/geom"
+	"mobiquery/internal/obs"
 	"mobiquery/internal/sim"
 )
+
+// EvaluateDue drives one query the way a clock driver does, for tests that
+// step queries individually: EvaluateDueBatch into a private batch, then
+// FlushRearms, so the schedule is re-armed before it returns.
+func (e *QueryEngine) EvaluateDue(queryID uint32, now sim.Time) (WindowResult, bool) {
+	rb := e.NewRearmBatch()
+	res, ok := e.EvaluateDueBatch(queryID, now, rb)
+	e.FlushRearms(rb)
+	return res, ok
+}
 
 func TestTemporalSpecValidate(t *testing.T) {
 	good := TemporalSpec{Period: time.Second, Deadline: 100 * time.Millisecond, Fresh: time.Second}
@@ -59,14 +70,15 @@ func TestNewQueryEngineEAndRegisterE(t *testing.T) {
 // node 0 sampled at 1.5 s, node 1 at 200 ms, node 2 never.
 func temporalEngine(t *testing.T) *QueryEngine {
 	t.Helper()
-	e := NewQueryEngine(geom.Square(1000), 100, field.Gradient{Base: 10, Slope: geom.V(1, 0)}, EngineConfig{})
 	samples := map[int32]sim.Time{0: 1500 * time.Millisecond, 1: 200 * time.Millisecond}
-	e.SetSampler(func(id int32, at sim.Time) (sim.Time, bool) {
-		s, ok := samples[id]
-		if !ok || s > at {
-			return 0, false
-		}
-		return s, true
+	e := NewQueryEngine(geom.Square(1000), 100, field.Gradient{Base: 10, Slope: geom.V(1, 0)}, EngineConfig{
+		Sampler: func(id int32, at sim.Time) (sim.Time, bool) {
+			s, ok := samples[id]
+			if !ok || s > at {
+				return 0, false
+			}
+			return s, true
+		},
 	})
 	e.UpsertNode(0, geom.Pt(10, 0))
 	e.UpsertNode(1, geom.Pt(20, 0))
@@ -77,7 +89,7 @@ func temporalEngine(t *testing.T) *QueryEngine {
 func TestEvaluateDueFreshnessWindow(t *testing.T) {
 	e := temporalEngine(t)
 	spec := TemporalSpec{Period: 2 * time.Second, Fresh: time.Second}
-	if err := e.RegisterTemporalE(7, 100, geom.Pt(0, 0), spec, 0); err != nil {
+	if err := e.RegisterTemporalE(7, 100, geom.Pt(0, 0), spec, 0, Route{}); err != nil {
 		t.Fatalf("RegisterTemporalE: %v", err)
 	}
 
@@ -128,7 +140,7 @@ func TestEvaluateDueFreshnessWindow(t *testing.T) {
 func TestEvaluateDueZeroFreshAcceptsAnyReading(t *testing.T) {
 	e := temporalEngine(t)
 	spec := TemporalSpec{Period: 2 * time.Second} // Fresh 0: unbounded window
-	if err := e.RegisterTemporalE(9, 100, geom.Pt(0, 0), spec, 0); err != nil {
+	if err := e.RegisterTemporalE(9, 100, geom.Pt(0, 0), spec, 0, Route{}); err != nil {
 		t.Fatal(err)
 	}
 	res, ok := e.EvaluateDue(9, 2*time.Second)
@@ -148,7 +160,7 @@ func TestEvaluateDueZeroFreshAcceptsAnyReading(t *testing.T) {
 func TestEvaluateDueDeadlineAccounting(t *testing.T) {
 	e := temporalEngine(t)
 	spec := TemporalSpec{Period: 2 * time.Second, Deadline: 100 * time.Millisecond, Fresh: time.Second}
-	if err := e.RegisterTemporalE(3, 100, geom.Pt(0, 0), spec, 0); err != nil {
+	if err := e.RegisterTemporalE(3, 100, geom.Pt(0, 0), spec, 0, Route{}); err != nil {
 		t.Fatal(err)
 	}
 	// Jump straight to 6.05 s: periods 1 (due 2 s) and 2 (due 4 s) are
@@ -203,52 +215,55 @@ func TestEvaluateDueNonTemporalAndUnknown(t *testing.T) {
 	if _, ok := e.EvaluateDue(999, time.Hour); ok {
 		t.Error("EvaluateDue fired for an unknown query")
 	}
-	if err := e.RegisterTemporalE(6, 100, geom.Pt(0, 0), TemporalSpec{}, 0); err == nil {
+	if err := e.RegisterTemporalE(6, 100, geom.Pt(0, 0), TemporalSpec{}, 0, Route{}); err == nil {
 		t.Error("zero period should be rejected")
 	}
 }
 
 // fakePlan is a scripted PrefetchPlan: boundaries in staged are ready at
-// the boundary itself; boundaries before warmupUntil are warmup.
+// the boundary itself, serving readings captured there to nodes inside the
+// pickup circle (pickup, radius); boundaries before warmupUntil are warmup.
 type fakePlan struct {
 	staged      map[sim.Time]bool
 	warmupUntil sim.Time
+	pickup      geom.Point
+	radius      float64
 }
 
-func (f fakePlan) PeriodStatus(due sim.Time) (sim.Time, bool, bool) {
-	return due, f.staged[due], due < f.warmupUntil
+func (f fakePlan) PlanPeriod(due sim.Time) PlannedPeriod {
+	return PlannedPeriod{
+		Staged:  f.staged[due],
+		Warmup:  due < f.warmupUntil,
+		Pickup:  f.pickup,
+		Radius:  f.radius,
+		Capture: due,
+		Ready:   due,
+	}
 }
 
-// TestPerQuerySamplerOverridesGlobal pins the per-query sampler hook: a
-// query with its own AreaSampler ignores the engine-global schedule, serves
-// plan readings to the nodes the sampler marks, and counts them in
-// Prefetched — while other queries keep the global schedule.
+// TestPerQuerySamplerOverridesGlobal pins the planned route's sampling: on
+// a staged boundary, nodes inside the plan's pickup circle are served the
+// plan's reading and counted in Prefetched, while nodes outside it — and
+// other queries — keep the engine's sampling schedule.
 func TestPerQuerySamplerOverridesGlobal(t *testing.T) {
 	e := temporalEngine(t)
 	spec := TemporalSpec{Period: 2 * time.Second, Fresh: time.Second}
-	if err := e.RegisterTemporalE(1, 100, geom.Pt(0, 0), spec, 0); err != nil {
+	// Query 1's plan: nodes within 25 m of the origin get a fresh prefetched
+	// reading captured at the boundary.
+	plan := fakePlan{staged: map[sim.Time]bool{2 * time.Second: true}, radius: 25}
+	if err := e.RegisterTemporalE(1, 100, geom.Pt(0, 0), spec, 0, Route{Plan: plan}); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.RegisterTemporalE(2, 100, geom.Pt(0, 0), spec, 0); err != nil {
+	if err := e.RegisterTemporalE(2, 100, geom.Pt(0, 0), spec, 0, Route{}); err != nil {
 		t.Fatal(err)
-	}
-	// Query 1's sampler: nodes left of x=25 get a fresh prefetched reading
-	// captured at the boundary; the rest are unsampled.
-	ok := e.SetQuerySampler(1, func(id int32, pos geom.Point, at sim.Time) (sim.Time, bool, bool) {
-		if pos.X < 25 {
-			return at, true, true
-		}
-		return 0, false, false
-	})
-	if !ok {
-		t.Fatal("SetQuerySampler rejected a temporal query")
 	}
 
 	res, ok := e.EvaluateDue(1, 2*time.Second)
 	if !ok {
 		t.Fatal("EvaluateDue should fire")
 	}
-	// Nodes 0 (x=10) and 1 (x=20) prefetched fresh; node 2 (x=30) unsampled.
+	// Nodes 0 (x=10) and 1 (x=20) prefetched fresh; node 2 (x=30) falls
+	// through to the schedule, which never sampled it.
 	if res.Prefetched != 2 || len(res.Nodes) != 2 || res.StaleNodes != 1 {
 		t.Errorf("prefetched/nodes/stale = %d/%d/%d, want 2/2/1", res.Prefetched, len(res.Nodes), res.StaleNodes)
 	}
@@ -260,15 +275,6 @@ func TestPerQuerySamplerOverridesGlobal(t *testing.T) {
 	res2, _ := e.EvaluateDue(2, 2*time.Second)
 	if res2.Prefetched != 0 || len(res2.Nodes) != 1 || res2.StaleNodes != 2 {
 		t.Errorf("global-sampler query: prefetched/nodes/stale = %d/%d/%d, want 0/1/2", res2.Prefetched, len(res2.Nodes), res2.StaleNodes)
-	}
-
-	// The hooks are temporal-only.
-	e.Register(5, 100, geom.Pt(0, 0))
-	if e.SetQuerySampler(5, nil) || e.SetQueryPlan(5, nil) {
-		t.Error("per-query hooks accepted a non-temporal query")
-	}
-	if e.SetQuerySampler(99, nil) || e.SetQueryPlan(99, nil) {
-		t.Error("per-query hooks accepted an unknown query")
 	}
 }
 
@@ -298,19 +304,13 @@ func (f *fakeWarmer) VisitStaged(due sim.Time, center geom.Point, radius float64
 	return true
 }
 
-// TestCorridorWarmerServesStagedBoundaries pins the warmer hook: a staged
-// boundary is enumerated from the warmer's buffer (CorridorHit true) with
+// TestCorridorWarmerServesStagedBoundaries pins the warmer route: a staged
+// boundary is enumerated from the warmer's buffer (ClassCorridor) with
 // results identical to the cold scan, an unstaged boundary falls back to
-// the cold scan, and a query without a warmer never sets CorridorHit.
+// the planned scan, and a query without a warmer is never ClassCorridor.
 func TestCorridorWarmerServesStagedBoundaries(t *testing.T) {
 	e := temporalEngine(t)
 	spec := TemporalSpec{Period: 2 * time.Second, Fresh: 10 * time.Second}
-	if err := e.RegisterTemporalE(1, 100, geom.Pt(0, 0), spec, 0); err != nil {
-		t.Fatal(err)
-	}
-	if err := e.RegisterTemporalE(2, 100, geom.Pt(0, 0), spec, 0); err != nil {
-		t.Fatal(err)
-	}
 	// The warmer's snapshot is exactly the grid's nodes — the contract a
 	// real corridor cache proves with coverage and version checks.
 	w := &fakeWarmer{staged: map[sim.Time]bool{2 * time.Second: true}}
@@ -323,17 +323,21 @@ func TestCorridorWarmerServesStagedBoundaries(t *testing.T) {
 			pos geom.Point
 		}{n.id, geom.Pt(n.x, 0)})
 	}
-	if !e.SetQueryWarmer(1, w) {
-		t.Fatal("SetQueryWarmer rejected a temporal query")
+	// The plan stages nothing, so both queries read the engine's schedule.
+	if err := e.RegisterTemporalE(1, 100, geom.Pt(0, 0), spec, 0, Route{Plan: fakePlan{}, Warmer: w}); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.RegisterTemporalE(2, 100, geom.Pt(0, 0), spec, 0, Route{}); err != nil {
+		t.Fatal(err)
 	}
 
 	warm, ok := e.EvaluateDue(1, 2*time.Second)
-	if !ok || !warm.CorridorHit {
-		t.Fatalf("staged boundary not served warm (ok %v, hit %v)", ok, warm.CorridorHit)
+	if !ok || warm.Class != obs.ClassCorridor {
+		t.Fatalf("staged boundary not served warm (ok %v, class %v)", ok, warm.Class)
 	}
 	cold, ok := e.EvaluateDue(2, 2*time.Second)
-	if !ok || cold.CorridorHit {
-		t.Fatalf("warmer-less query reported a corridor hit (ok %v)", ok)
+	if !ok || cold.Class != obs.ClassCold {
+		t.Fatalf("warmer-less query served as %v (ok %v)", cold.Class, ok)
 	}
 	if warm.AreaNodes != cold.AreaNodes || warm.StaleNodes != cold.StaleNodes ||
 		len(warm.Nodes) != len(cold.Nodes) || warm.Data.Sum != cold.Data.Sum {
@@ -343,19 +347,13 @@ func TestCorridorWarmerServesStagedBoundaries(t *testing.T) {
 		t.Errorf("warmer served %d boundaries, want 1", w.serves)
 	}
 
-	// Boundary 2 (due 4s) is not staged: cold fallback, no hit.
+	// Boundary 2 (due 4s) is not staged: planned-scan fallback.
 	fallback, ok := e.EvaluateDue(1, 4*time.Second)
-	if !ok || fallback.CorridorHit {
-		t.Fatalf("unstaged boundary reported a corridor hit (ok %v)", ok)
+	if !ok || fallback.Class != obs.ClassPlanned {
+		t.Fatalf("unstaged boundary served as %v (ok %v)", fallback.Class, ok)
 	}
 	if w.refusals != 1 {
 		t.Errorf("warmer refused %d boundaries, want 1", w.refusals)
-	}
-
-	// The hook is temporal-only, like the sampler and plan hooks.
-	e.Register(5, 100, geom.Pt(0, 0))
-	if e.SetQueryWarmer(5, w) || e.SetQueryWarmer(99, w) {
-		t.Error("SetQueryWarmer accepted a non-temporal or unknown query")
 	}
 }
 
@@ -365,7 +363,7 @@ func TestCorridorWarmerServesStagedBoundaries(t *testing.T) {
 func TestWindowResultNodesReused(t *testing.T) {
 	e := temporalEngine(t)
 	spec := TemporalSpec{Period: time.Second, Fresh: 10 * time.Second}
-	if err := e.RegisterTemporalE(1, 100, geom.Pt(0, 0), spec, 0); err != nil {
+	if err := e.RegisterTemporalE(1, 100, geom.Pt(0, 0), spec, 0, Route{}); err != nil {
 		t.Fatal(err)
 	}
 	first, ok := e.EvaluateDue(1, 2*time.Second)
@@ -388,21 +386,17 @@ func TestWindowResultNodesReused(t *testing.T) {
 func TestEvaluateDueCreditsStagedPeriods(t *testing.T) {
 	e := temporalEngine(t)
 	spec := TemporalSpec{Period: 2 * time.Second, Deadline: 100 * time.Millisecond}
-	if err := e.RegisterTemporalE(4, 100, geom.Pt(0, 0), spec, 0); err != nil {
-		t.Fatal(err)
-	}
+	// The plan's pickup circle covers the whole area: every reading of a
+	// staged period is prefetched, captured at the boundary (boundary
+	// credit requires actual coverage).
 	plan := fakePlan{
 		staged:      map[sim.Time]bool{4 * time.Second: true, 6 * time.Second: true},
 		warmupUntil: 4 * time.Second,
+		radius:      100,
 	}
-	if !e.SetQueryPlan(4, plan) {
-		t.Fatal("SetQueryPlan rejected a temporal query")
+	if err := e.RegisterTemporalE(4, 100, geom.Pt(0, 0), spec, 0, Route{Plan: plan}); err != nil {
+		t.Fatal(err)
 	}
-	// The plan's chains cover the whole area: every reading is prefetched,
-	// captured at the boundary (boundary credit requires actual coverage).
-	e.SetQuerySampler(4, func(id int32, pos geom.Point, at sim.Time) (sim.Time, bool, bool) {
-		return at, true, true
-	})
 	now := 6500 * time.Millisecond // all three periods collected in one step
 	var got []WindowResult
 	for {
@@ -444,15 +438,13 @@ func TestEvaluateDueCreditsStagedPeriods(t *testing.T) {
 func TestStagedCreditRequiresCoverage(t *testing.T) {
 	e := temporalEngine(t)
 	spec := TemporalSpec{Period: 2 * time.Second, Deadline: 100 * time.Millisecond}
-	if err := e.RegisterTemporalE(8, 100, geom.Pt(0, 0), spec, 0); err != nil {
+	// Staged per the plan, but its pickup circle misses every in-area
+	// node — the chains went to a mispredicted area.
+	staged := map[sim.Time]bool{2 * time.Second: true}
+	miss := fakePlan{staged: staged, pickup: geom.Pt(900, 900), radius: 1}
+	if err := e.RegisterTemporalE(8, 100, geom.Pt(0, 0), spec, 0, Route{Plan: miss}); err != nil {
 		t.Fatal(err)
 	}
-	// Staged per the plan, but the per-query sampler never marks a reading
-	// prefetched — the chains went to a mispredicted area.
-	e.SetQueryPlan(8, fakePlan{staged: map[sim.Time]bool{2 * time.Second: true}})
-	e.SetQuerySampler(8, func(id int32, pos geom.Point, at sim.Time) (sim.Time, bool, bool) {
-		return at, true, false
-	})
 	now := 2500 * time.Millisecond
 	res, ok := e.EvaluateDue(8, now)
 	if !ok {
@@ -465,10 +457,9 @@ func TestStagedCreditRequiresCoverage(t *testing.T) {
 		t.Errorf("uncovered staged period credited: at %v late %v (%v), want tick accounting", res.EvaluatedAt, res.Late, res.Lateness)
 	}
 	// Over an empty area the staged empty answer is the answer: credit.
-	if err := e.RegisterTemporalE(9, 50, geom.Pt(900, 900), spec, 0); err != nil {
+	if err := e.RegisterTemporalE(9, 50, geom.Pt(900, 900), spec, 0, Route{Plan: fakePlan{staged: staged}}); err != nil {
 		t.Fatal(err)
 	}
-	e.SetQueryPlan(9, fakePlan{staged: map[sim.Time]bool{2 * time.Second: true}})
 	res, ok = e.EvaluateDue(9, now)
 	if !ok {
 		t.Fatal("EvaluateDue should fire")
@@ -484,7 +475,7 @@ func TestEvaluateDueDefaultSamplerIsInstantaneous(t *testing.T) {
 	e := NewQueryEngine(geom.Square(1000), 100, field.Uniform{Value: 42}, EngineConfig{})
 	e.UpsertNode(0, geom.Pt(10, 0))
 	e.UpsertNode(1, geom.Pt(20, 0))
-	if err := e.RegisterTemporalE(1, 100, geom.Pt(0, 0), TemporalSpec{Period: time.Second, Fresh: time.Millisecond}, 0); err != nil {
+	if err := e.RegisterTemporalE(1, 100, geom.Pt(0, 0), TemporalSpec{Period: time.Second, Fresh: time.Millisecond}, 0, Route{}); err != nil {
 		t.Fatal(err)
 	}
 	res, ok := e.EvaluateDue(1, time.Second)
@@ -500,5 +491,75 @@ func TestEvaluateDueDefaultSamplerIsInstantaneous(t *testing.T) {
 	}
 	if math.IsNaN(res.Data.Value(AggMin)) {
 		t.Error("min of populated window is NaN")
+	}
+}
+
+// fakeIndex is a scripted AggIndex: it answers the boundaries in staged
+// with an empty whole-disk aggregate and declines everything else.
+type fakeIndex struct{ staged map[sim.Time]bool }
+
+func (f fakeIndex) ServeWindow(due sim.Time, _ geom.Point, _ float64, _ time.Duration) (AggServe, bool) {
+	if !f.staged[due] {
+		return AggServe{}, false
+	}
+	return AggServe{Data: NewPartial(), AreaNodes: 3, StaleNodes: 3}, true
+}
+
+// TestRouteShapes registers each of the four legal route shapes and pins
+// the serve class of a period its route serves (due 2s) and of one a
+// declining warmer or index hands back to the scan (due 4s), then checks
+// that the illegal shapes are rejected at registration.
+func TestRouteShapes(t *testing.T) {
+	staged := map[sim.Time]bool{2 * time.Second: true}
+	warmer := func() *fakeWarmer {
+		w := &fakeWarmer{staged: staged}
+		for i, x := range []float64{10, 20, 30} {
+			w.nodes = append(w.nodes, struct {
+				id  int32
+				pos geom.Point
+			}{int32(i), geom.Pt(x, 0)})
+		}
+		return w
+	}
+	tests := []struct {
+		name           string
+		route          Route
+		served, second obs.Class
+	}{
+		{"cold", Route{}, obs.ClassCold, obs.ClassCold},
+		{"planned", Route{Plan: fakePlan{}}, obs.ClassPlanned, obs.ClassPlanned},
+		{"planned+corridor", Route{Plan: fakePlan{}, Warmer: warmer()}, obs.ClassCorridor, obs.ClassPlanned},
+		{"pyramid", Route{Index: fakeIndex{staged: staged}}, obs.ClassPyramid, obs.ClassCold},
+	}
+	for _, tt := range tests {
+		t.Run(tt.name, func(t *testing.T) {
+			e := temporalEngine(t)
+			spec := TemporalSpec{Period: 2 * time.Second, Fresh: time.Second}
+			if err := e.RegisterTemporalE(1, 100, geom.Pt(0, 0), spec, 0, tt.route); err != nil {
+				t.Fatalf("legal route rejected: %v", err)
+			}
+			for i, want := range []obs.Class{tt.served, tt.second} {
+				res, ok := e.EvaluateDue(1, time.Duration(i+1)*2*time.Second)
+				if !ok || res.Class != want {
+					t.Errorf("period %d: class %v (ok %v), want %v", i+1, res.Class, ok, want)
+				}
+			}
+		})
+	}
+
+	e := temporalEngine(t)
+	spec := TemporalSpec{Period: 2 * time.Second}
+	for name, r := range map[string]Route{
+		"pyramid+plan":        {Plan: fakePlan{}, Index: fakeIndex{}},
+		"warmer without plan": {Warmer: warmer()},
+		"pyramid+warmer":      {Warmer: warmer(), Index: fakeIndex{}},
+		"pyramid+plan+warmer": {Plan: fakePlan{}, Warmer: warmer(), Index: fakeIndex{}},
+	} {
+		if err := e.RegisterTemporalE(1, 100, geom.Pt(0, 0), spec, 0, r); err == nil {
+			t.Errorf("%s route accepted", name)
+		}
+	}
+	if e.QueryCount() != 0 {
+		t.Errorf("rejected routes left %d queries registered", e.QueryCount())
 	}
 }

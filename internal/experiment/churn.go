@@ -16,7 +16,7 @@ import (
 // ChurnConfig describes the dynamic-membership scenario: a static
 // population of streaming users holds session-long subscriptions while
 // churners join and leave mid-run, all driven through the engine's
-// temporal API (RegisterTemporalE / EvaluateDue) — the service-shaped
+// temporal API (RegisterTemporalE / EvaluateDueBatch) — the service-shaped
 // workload the session API exposes publicly. The scenario's acceptance
 // property is that churn never perturbs the static users' results.
 type ChurnConfig struct {
@@ -197,14 +197,14 @@ func RunChurn(cfg ChurnConfig) (ChurnResult, error) {
 		})
 	}
 
-	eng, err := core.NewQueryEngineE(region, cfg.Radius, cfg.Field,
-		core.EngineConfig{Shards: cfg.Shards, Workers: cfg.Workers})
+	eng, err := core.NewQueryEngineE(region, cfg.Radius, cfg.Field, core.EngineConfig{
+		Shards:  cfg.Shards,
+		Workers: cfg.Workers,
+		Sampler: core.ScheduleSampler(cfg.SamplePeriod, func(id int32) sim.Time { return phase[id] }),
+	})
 	if err != nil {
 		return ChurnResult{}, err
 	}
-	eng.SetSampler(core.ScheduleSampler(cfg.SamplePeriod, func(id int32) sim.Time {
-		return phase[id]
-	}))
 
 	start := time.Now()
 	eng.Dispatch(cfg.Nodes, func(i int) {
@@ -215,7 +215,7 @@ func RunChurn(cfg ChurnConfig) (ChurnResult, error) {
 	res := ChurnResult{Config: cfg}
 	join := func(u *churnUser, at sim.Time) error {
 		u.joined = true
-		return eng.RegisterTemporalE(u.id, cfg.Radius, u.posAt(region, at), spec, at)
+		return eng.RegisterTemporalE(u.id, cfg.Radius, u.posAt(region, at), spec, at, core.Route{})
 	}
 	for _, u := range users {
 		if u.static {
@@ -262,9 +262,9 @@ func RunChurn(cfg ChurnConfig) (ChurnResult, error) {
 		// (duePump pops them in (due, id) order and drains each on a
 		// worker); per-user evaluation is a pure function of the node field
 		// and that user's course, so the fan-out cannot change results.
-		pump.tick(t, func(u *churnUser, id uint32, boundary sim.Time) bool {
+		pump.tick(t, func(u *churnUser, id uint32, boundary sim.Time, rb *core.RearmBatch) bool {
 			eng.UpdateWaypoint(id, u.posAt(region, boundary))
-			wr, ok := eng.EvaluateDue(id, t)
+			wr, ok := eng.EvaluateDueBatch(id, t, rb)
 			if !ok {
 				return false
 			}

@@ -11,6 +11,7 @@ import (
 	"mobiquery/internal/field"
 	"mobiquery/internal/geom"
 	"mobiquery/internal/mobility"
+	"mobiquery/internal/obs"
 	"mobiquery/internal/prefetch"
 	"mobiquery/internal/radio"
 	"mobiquery/internal/sim"
@@ -344,13 +345,14 @@ func (u *corridorUser) truthProfile(at sim.Time, period time.Duration) mobility.
 // runCorridorPass runs one arm over the shared workload.
 func runCorridorPass(cfg CorridorConfig, arm corridorArm, region geom.Rect,
 	nodePos []geom.Point, phase []sim.Time, users []*corridorUser) (CorridorOutcome, error) {
-	eng, err := core.NewQueryEngineE(region, cfg.Radius, cfg.Field,
-		core.EngineConfig{Shards: cfg.Shards, Workers: cfg.Workers})
+	eng, err := core.NewQueryEngineE(region, cfg.Radius, cfg.Field, core.EngineConfig{
+		Shards:  cfg.Shards,
+		Workers: cfg.Workers,
+		Sampler: core.ScheduleSampler(cfg.SamplePeriod, func(id int32) sim.Time { return phase[id] }),
+	})
 	if err != nil {
 		return CorridorOutcome{}, err
 	}
-	base := core.ScheduleSampler(cfg.SamplePeriod, func(id int32) sim.Time { return phase[id] })
-	eng.SetSampler(base)
 	eng.Dispatch(len(nodePos), func(i int) {
 		eng.UpsertNode(radio.NodeID(i), nodePos[i])
 	})
@@ -364,49 +366,48 @@ func runCorridorPass(cfg CorridorConfig, arm corridorArm, region geom.Rect,
 	for _, u := range users {
 		*u = corridorUser{id: u.id, course: u.course, exact: u.exact, noisy: u.noisy}
 		byID[u.id] = u
-		if err := eng.RegisterTemporalE(u.id, cfg.Radius, u.course.PosAt(0), spec, 0); err != nil {
-			return CorridorOutcome{}, err
-		}
-		if !arm.strat.Prefetching() {
-			continue
-		}
-		u.stream = u.exact
-		if arm.noisy {
-			u.stream = u.noisy
-		}
-		// Initial prediction: the last profile delivered by t=0, or a
-		// stationary bootstrap until the predictor's first delivery —
-		// exactly the session API's Subscribe behavior.
-		prof := mobility.Profile{Path: mobility.Stationary(u.course.PosAt(0), 0)}
-		for u.nextP < len(u.stream) && u.stream[u.nextP].Deliver <= 0 {
-			prof = u.stream[u.nextP].Profile
-			u.nextP++
-		}
-		u.planner, err = prefetch.NewPlanner(prefetch.Config{
-			Strategy: arm.strat,
-			Radius:   cfg.Radius,
-			Period:   cfg.Period,
-			Deadline: cfg.Deadline,
-			Fresh:    cfg.Fresh,
-			Sleep:    cfg.SamplePeriod,
-		}, prof)
-		if err != nil {
-			return CorridorOutcome{}, err
-		}
-		eng.SetQuerySampler(u.id, u.planner.Sampler(base))
-		eng.SetQueryPlan(u.id, u.planner)
-		if arm.corridor {
-			u.cache, err = corridor.NewCache(corridor.Config{
-				Lookahead: cfg.Lookahead,
-				Model:     corridor.ErrorModel{Base: bound},
-				Radius:    cfg.Radius,
-				Period:    cfg.Period,
-			}, eng.Index())
+		var route core.Route
+		if arm.strat.Prefetching() {
+			u.stream = u.exact
+			if arm.noisy {
+				u.stream = u.noisy
+			}
+			// Initial prediction: the last profile delivered by t=0, or a
+			// stationary bootstrap until the predictor's first delivery —
+			// exactly the session API's Subscribe behavior.
+			prof := mobility.Profile{Path: mobility.Stationary(u.course.PosAt(0), 0)}
+			for u.nextP < len(u.stream) && u.stream[u.nextP].Deliver <= 0 {
+				prof = u.stream[u.nextP].Profile
+				u.nextP++
+			}
+			u.planner, err = prefetch.NewPlanner(prefetch.Config{
+				Strategy: arm.strat,
+				Radius:   cfg.Radius,
+				Period:   cfg.Period,
+				Deadline: cfg.Deadline,
+				Fresh:    cfg.Fresh,
+				Sleep:    cfg.SamplePeriod,
+			}, prof)
 			if err != nil {
 				return CorridorOutcome{}, err
 			}
-			u.cache.SetProfile(prof, 0)
-			eng.SetQueryWarmer(u.id, u.cache)
+			route.Plan = u.planner
+			if arm.corridor {
+				u.cache, err = corridor.NewCache(corridor.Config{
+					Lookahead: cfg.Lookahead,
+					Model:     corridor.ErrorModel{Base: bound},
+					Radius:    cfg.Radius,
+					Period:    cfg.Period,
+				}, eng.Index())
+				if err != nil {
+					return CorridorOutcome{}, err
+				}
+				u.cache.SetProfile(prof, 0)
+				route.Warmer = u.cache
+			}
+		}
+		if err := eng.RegisterTemporalE(u.id, cfg.Radius, u.course.PosAt(0), spec, 0, route); err != nil {
+			return CorridorOutcome{}, err
 		}
 	}
 
@@ -415,13 +416,13 @@ func runCorridorPass(cfg CorridorConfig, arm corridorArm, region geom.Rect,
 		// Each user's evaluation depends only on the shared field and
 		// their own course, streams, plan, and cache — the worker fan-out
 		// cannot change results.
-		pump.tick(t, func(u *corridorUser, id uint32, nextDue sim.Time) bool {
+		pump.tick(t, func(u *corridorUser, id uint32, nextDue sim.Time, rb *core.RearmBatch) bool {
 			if u.planner != nil {
 				u.pump(nextDue)
 			}
 			eng.UpdateWaypoint(id, u.course.PosAt(nextDue))
 			evalStart := time.Now()
-			wr, ok := eng.EvaluateDue(id, t)
+			wr, ok := eng.EvaluateDueBatch(id, t, rb)
 			evalNs := time.Since(evalStart).Nanoseconds()
 			if !ok {
 				return false
@@ -436,7 +437,7 @@ func runCorridorPass(cfg CorridorConfig, arm corridorArm, region geom.Rect,
 			if wr.Warmup {
 				u.warm++
 			}
-			if wr.CorridorHit {
+			if wr.Class == obs.ClassCorridor {
 				u.hits++
 				u.warmNs += evalNs
 			} else {

@@ -239,13 +239,14 @@ func RunPrefetch(cfg PrefetchConfig) (PrefetchResult, error) {
 // runPrefetchPass runs one strategy over the shared workload.
 func runPrefetchPass(cfg PrefetchConfig, strat prefetch.Strategy, region geom.Rect,
 	nodePos []geom.Point, phase []sim.Time, users []*prefetchUser) (StrategyOutcome, error) {
-	eng, err := core.NewQueryEngineE(region, cfg.Radius, cfg.Field,
-		core.EngineConfig{Shards: cfg.Shards, Workers: cfg.Workers})
+	eng, err := core.NewQueryEngineE(region, cfg.Radius, cfg.Field, core.EngineConfig{
+		Shards:  cfg.Shards,
+		Workers: cfg.Workers,
+		Sampler: core.ScheduleSampler(cfg.SamplePeriod, func(id int32) sim.Time { return phase[id] }),
+	})
 	if err != nil {
 		return StrategyOutcome{}, err
 	}
-	base := core.ScheduleSampler(cfg.SamplePeriod, func(id int32) sim.Time { return phase[id] })
-	eng.SetSampler(base)
 	eng.Dispatch(len(nodePos), func(i int) {
 		eng.UpsertNode(radio.NodeID(i), nodePos[i])
 	})
@@ -255,9 +256,7 @@ func runPrefetchPass(cfg PrefetchConfig, strat prefetch.Strategy, region geom.Re
 	for _, u := range users {
 		*u = prefetchUser{id: u.id, start: u.start, vel: u.vel} // reset the pass accumulator
 		byID[u.id] = u
-		if err := eng.RegisterTemporalE(u.id, cfg.Radius, u.posAt(0), spec, 0); err != nil {
-			return StrategyOutcome{}, err
-		}
+		var route core.Route
 		if strat.Prefetching() {
 			u.planner, err = prefetch.NewPlanner(prefetch.Config{
 				Strategy: strat,
@@ -270,8 +269,10 @@ func runPrefetchPass(cfg PrefetchConfig, strat prefetch.Strategy, region geom.Re
 			if err != nil {
 				return StrategyOutcome{}, err
 			}
-			eng.SetQuerySampler(u.id, u.planner.Sampler(base))
-			eng.SetQueryPlan(u.id, u.planner)
+			route.Plan = u.planner
+		}
+		if err := eng.RegisterTemporalE(u.id, cfg.Radius, u.posAt(0), spec, 0, route); err != nil {
+			return StrategyOutcome{}, err
 		}
 	}
 
@@ -299,9 +300,9 @@ func runPrefetchPass(cfg PrefetchConfig, strat prefetch.Strategy, region geom.Re
 		// are touched, and each user's evaluation is a pure function of the
 		// shared field and their own course and plan — the worker fan-out
 		// cannot change results.
-		pump.tick(t, func(u *prefetchUser, id uint32, nextDue sim.Time) bool {
+		pump.tick(t, func(u *prefetchUser, id uint32, nextDue sim.Time, rb *core.RearmBatch) bool {
 			eng.UpdateWaypoint(id, u.posAt(nextDue))
-			wr, ok := eng.EvaluateDue(id, t)
+			wr, ok := eng.EvaluateDueBatch(id, t, rb)
 			if !ok {
 				return false
 			}

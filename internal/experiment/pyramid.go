@@ -10,6 +10,7 @@ import (
 	"mobiquery/internal/field"
 	"mobiquery/internal/geom"
 	"mobiquery/internal/mobility"
+	"mobiquery/internal/obs"
 	"mobiquery/internal/pyramid"
 	"mobiquery/internal/radio"
 	"mobiquery/internal/sim"
@@ -259,29 +260,20 @@ func RunPyramid(cfg PyramidConfig) (PyramidResult, error) {
 // runPyramidPass runs one arm over the shared workload.
 func runPyramidPass(cfg PyramidConfig, arm pyramidArm, region geom.Rect,
 	nodePos []geom.Point, phase []sim.Time, users []*pyramidUser) (PyramidOutcome, error) {
+	base := core.ScheduleSampler(cfg.SamplePeriod, func(id int32) sim.Time { return phase[id] })
 	// The index cell is an eighth of the query radius: the disk spans ~16
 	// cells across, enough room for covered tiles at several levels.
 	eng, err := core.NewQueryEngineE(region, cfg.Radius/8, cfg.Field,
-		core.EngineConfig{Shards: cfg.Shards, Workers: cfg.Workers})
+		core.EngineConfig{Shards: cfg.Shards, Workers: cfg.Workers, Sampler: base})
 	if err != nil {
 		return PyramidOutcome{}, err
 	}
-	base := core.ScheduleSampler(cfg.SamplePeriod, func(id int32) sim.Time { return phase[id] })
-	eng.SetSampler(base)
 	eng.Dispatch(len(nodePos), func(i int) {
 		eng.UpsertNode(radio.NodeID(i), nodePos[i])
 	})
 
-	spec := core.TemporalSpec{Period: cfg.Period, Deadline: cfg.Deadline, Fresh: cfg.Fresh, Window: arm.window}
-	byID := make(map[uint32]*pyramidUser, len(users))
-	for _, u := range users {
-		*u = pyramidUser{id: u.id, course: u.course}
-		byID[u.id] = u
-		if err := eng.RegisterTemporalE(u.id, cfg.Radius, u.course.PosAt(0), spec, 0); err != nil {
-			return PyramidOutcome{}, err
-		}
-	}
 	var pyr *pyramid.Pyramid
+	var route core.Route
 	if arm.pyramid {
 		pyr, err = pyramid.New(eng.Index(), pyramid.Config{
 			Fresh:  cfg.Fresh,
@@ -291,8 +283,15 @@ func runPyramidPass(cfg PyramidConfig, arm pyramidArm, region geom.Rect,
 		if err != nil {
 			return PyramidOutcome{}, err
 		}
-		for _, u := range users {
-			eng.SetQueryAggIndex(u.id, pyr)
+		route.Index = pyr
+	}
+	spec := core.TemporalSpec{Period: cfg.Period, Deadline: cfg.Deadline, Fresh: cfg.Fresh, Window: arm.window}
+	byID := make(map[uint32]*pyramidUser, len(users))
+	for _, u := range users {
+		*u = pyramidUser{id: u.id, course: u.course}
+		byID[u.id] = u
+		if err := eng.RegisterTemporalE(u.id, cfg.Radius, u.course.PosAt(0), spec, 0, route); err != nil {
+			return PyramidOutcome{}, err
 		}
 	}
 
@@ -301,12 +300,12 @@ func runPyramidPass(cfg PyramidConfig, arm pyramidArm, region geom.Rect,
 		// Each user's evaluation depends only on the shared field and their
 		// own course; epoch ingest is cooperative, so the fan-out cannot
 		// change results.
-		pump.tick(t, func(u *pyramidUser, id uint32, nextDue sim.Time) bool {
+		pump.tick(t, func(u *pyramidUser, id uint32, nextDue sim.Time, rb *core.RearmBatch) bool {
 			if pyr != nil {
 				pyr.EnsureEpoch(nextDue)
 			}
 			eng.UpdateWaypoint(id, u.course.PosAt(nextDue))
-			wr, ok := eng.EvaluateDue(id, t)
+			wr, ok := eng.EvaluateDueBatch(id, t, rb)
 			if !ok {
 				return false
 			}
@@ -316,7 +315,7 @@ func runPyramidPass(cfg PyramidConfig, arm pyramidArm, region geom.Rect,
 			if wr.Late {
 				u.late++
 			}
-			if wr.PyramidHit {
+			if wr.Class == obs.ClassPyramid {
 				u.hits++
 			} else {
 				u.cold++

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"mobiquery/internal/analysis"
+	"mobiquery/internal/core"
 	"mobiquery/internal/geom"
 	"mobiquery/internal/mobility"
 	"mobiquery/internal/sim"
@@ -123,23 +124,11 @@ type Planner struct {
 	hold   time.Duration
 	served atomic.Int64
 
-	// memo caches the most recently resolved (due, Entry): windowed
-	// evaluation asks for the same boundary once per in-area node, so one
-	// computation serves the whole visit. Replan invalidates it.
-	memo atomic.Pointer[entryMemo]
-
 	mu          sync.RWMutex
 	profile     mobility.Profile
 	epoch       sim.Time
 	warmupUntil sim.Time
 	replans     int
-}
-
-// entryMemo is one resolved boundary lookup.
-type entryMemo struct {
-	due sim.Time
-	e   Entry
-	ok  bool
 }
 
 // NewPlanner builds the plan for a subscription from its initial motion
@@ -164,12 +153,6 @@ func (p *Planner) Replan(profile mobility.Profile, now sim.Time) {
 	defer p.mu.Unlock()
 	p.replans++
 	p.install(profile, now)
-	// Drop the cached boundary. An evaluation racing this Replan may still
-	// publish the old plan's entry for the boundary it is mid-way through —
-	// one whole, consistent entry, which is exactly the documented "sees
-	// either the old or the new plan" — and every later boundary misses the
-	// memo and recomputes against the new plan.
-	p.memo.Store(nil)
 }
 
 // install records the profile and epoch and derives the warmup horizon.
@@ -269,93 +252,50 @@ func (p *Planner) entryLocked(k int) (Entry, bool) {
 
 // EntryFor returns the plan entry whose period comes due at the given
 // boundary; ok is false when the boundary is outside the plan's coverage.
-// Repeated lookups of one boundary — the per-node calls of a windowed
-// evaluation — hit the memo and skip the plan math.
 func (p *Planner) EntryFor(due sim.Time) (Entry, bool) {
-	if m := p.memo.Load(); m != nil && m.due == due {
-		return m.e, m.ok
-	}
 	p.mu.RLock()
-	var (
-		e  Entry
-		ok bool
-	)
-	if k, kok := p.kFor(due); kok {
-		e, ok = p.entryLocked(k)
-	}
-	p.mu.RUnlock()
-	p.memo.Store(&entryMemo{due: due, e: e, ok: ok})
-	return e, ok
-}
-
-// PeriodStatus returns the plan's view of the period due at `due` in one
-// snapshot — the core engine's PrefetchPlan hook. staged reports a chain
-// that met its equation-10 forward deadline with readings inside the
-// hold-time ledger (ready is then the boundary); warmup marks a covered
-// boundary whose chain launched too late, the mechanical form of the
-// paper's equation-16 warmup regime after a new profile. For the standard
-// slow-user settings the mechanical warmup and the closed-form bound agree
-// exactly (pinned by tests); the bound itself, rounded to whole periods
-// and widened by the speed ratio, is reported as Stats().WarmupUntil.
-// Resolving everything from a single Entry keeps staged and warmup an
-// exact partition of covered periods even when a Replan races the call.
-func (p *Planner) PeriodStatus(due sim.Time) (ready sim.Time, staged, warmup bool) {
-	e, ok := p.EntryFor(due)
+	defer p.mu.RUnlock()
+	k, ok := p.kFor(due)
 	if !ok {
-		return 0, false, false
+		return Entry{}, false
 	}
-	if !e.OnTime || e.Due-e.CaptureAt > sim.Time(p.hold) {
-		return 0, false, true
+	return p.entryLocked(k)
+}
+
+// PlanPeriod implements the core engine's PrefetchPlan: the plan's view of
+// the period due at `due`, resolved from a single Entry so staging,
+// sampling and warmup stay consistent even when a Replan races the call.
+// A staged period is one whose chain met its equation-10 forward deadline
+// with readings inside the hold-time ledger: in-area nodes inside the
+// predicted pickup circle are served their prefetched reading, captured at
+// the plan's capture time, and the answer was ready at the boundary.
+// Warmup marks a covered boundary whose chain launched too late, the
+// mechanical form of the paper's equation-16 warmup regime after a new
+// profile. For the standard slow-user settings the mechanical warmup and
+// the closed-form bound agree exactly (pinned by tests); the bound itself,
+// rounded to whole periods and widened by the speed ratio, is reported as
+// Stats().WarmupUntil.
+func (p *Planner) PlanPeriod(due sim.Time) core.PlannedPeriod {
+	e, ok := p.EntryFor(due)
+	switch {
+	case !ok:
+		return core.PlannedPeriod{}
+	case !e.OnTime || e.Due-e.CaptureAt > sim.Time(p.hold):
+		return core.PlannedPeriod{Warmup: true}
 	}
-	return e.ReadyAt, true, false
-}
-
-// ReadyAt reports when the prefetched answer for the period due at `due`
-// was staged at the user's pickup point; ok is false when the period has
-// no usable prefetch (uncovered, or a warmup period whose chain missed the
-// equation-10 forward deadline).
-func (p *Planner) ReadyAt(due sim.Time) (sim.Time, bool) {
-	ready, staged, _ := p.PeriodStatus(due)
-	return ready, staged
-}
-
-// Warmup reports whether a period due at `due` is still warming up: a
-// covered boundary whose chain missed its equation-10 forward deadline, so
-// its result falls back to on-demand collection (see PeriodStatus).
-func (p *Planner) Warmup(due sim.Time) bool {
-	_, _, warmup := p.PeriodStatus(due)
-	return warmup
-}
-
-// Sampler wraps the field's node sampling schedule with the plan: a node
-// inside the predicted pickup area of an on-time period is served its
-// prefetched reading (captured at the plan's capture time, subject to the
-// hold-time ledger), anything else falls through to the base schedule. The
-// third result reports whether the reading came from the plan. The returned
-// sampler has the shape of the engine's per-query AreaSampler.
-//
-// The sampler itself keeps no ledger — an atomic increment per in-area
-// reading was measurable on dense Advance batches. The driver folds each
-// evaluation's WindowResult.Prefetched into the served counter once per
-// period via NoteServed.
-func (p *Planner) Sampler(base func(id int32, at sim.Time) (sim.Time, bool)) func(id int32, pos geom.Point, at sim.Time) (sim.Time, bool, bool) {
-	return func(id int32, pos geom.Point, at sim.Time) (sim.Time, bool, bool) {
-		e, ok := p.EntryFor(at)
-		if ok && e.OnTime && at <= e.HoldUntil && pos.Within(e.Center, p.cfg.Radius) {
-			return e.CaptureAt, true, true
-		}
-		if base == nil {
-			return at, true, false
-		}
-		t, ok := base(id, at)
-		return t, ok, false
+	return core.PlannedPeriod{
+		Staged:  true,
+		Pickup:  e.Center,
+		Radius:  p.cfg.Radius,
+		Capture: e.CaptureAt,
+		Ready:   e.ReadyAt,
 	}
 }
 
 // NoteServed folds one evaluation's prefetched-contributor count into the
 // served ledger. Drivers call it once per period with the evaluation's
-// Prefetched count — replacing the per-reading atomic increment the
-// sampler used to pay on the evaluation hot path.
+// Prefetched count: a per-reading atomic increment was measurable on dense
+// Advance batches.
 func (p *Planner) NoteServed(n int) {
 	if n > 0 {
 		p.served.Add(int64(n))

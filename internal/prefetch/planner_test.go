@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"mobiquery/internal/analysis"
+	"mobiquery/internal/core"
 	"mobiquery/internal/geom"
 	"mobiquery/internal/mobility"
 	"mobiquery/internal/sim"
@@ -92,8 +93,8 @@ func TestJITEquation10Staging(t *testing.T) {
 		if e.OnTime {
 			t.Errorf("period %d staged on time inside the equation-10 margin", k)
 		}
-		if _, ok := p.ReadyAt(due); ok {
-			t.Errorf("period %d: ReadyAt should refuse a late chain", k)
+		if p.PlanPeriod(due).Staged {
+			t.Errorf("period %d: a late chain must not be staged", k)
 		}
 	}
 	e, ok := p.EntryFor(6 * time.Second)
@@ -103,8 +104,8 @@ func TestJITEquation10Staging(t *testing.T) {
 	if e.LaunchAt != 0 {
 		t.Errorf("period 6 launch = %v, want 0 (the equation-10 instant)", e.LaunchAt)
 	}
-	if ready, ok := p.ReadyAt(6 * time.Second); !ok || ready != 6*time.Second {
-		t.Errorf("ReadyAt(6s) = %v/%v, want 6s/true", ready, ok)
+	if pp := p.PlanPeriod(6 * time.Second); !pp.Staged || pp.Ready != 6*time.Second {
+		t.Errorf("PlanPeriod(6s) = %+v, want staged, ready at 6s", pp)
 	}
 	// JIT captures at the boundary: fresh readings, hold bound 5 s out.
 	if e.CaptureAt != 6*time.Second || e.HoldUntil != 11*time.Second {
@@ -132,7 +133,7 @@ func TestWarmupMatchesEquation16(t *testing.T) {
 	for k := 1; k <= 10; k++ {
 		due := sim.Time(k) * time.Second
 		want := due < tw
-		if got := p.Warmup(due); got != want {
+		if got := p.PlanPeriod(due).Warmup; got != want {
 			t.Errorf("Warmup(period %d) = %v, want %v (Tw = %v)", k, got, want, tw)
 		}
 	}
@@ -153,11 +154,11 @@ func TestNoGapBetweenWarmupAndStaging(t *testing.T) {
 		}
 		for k := 1; k <= 20; k++ {
 			due := sim.Time(k) * time.Second
-			_, staged := p.ReadyAt(due)
-			if !staged && !p.Warmup(due) {
+			pp := p.PlanPeriod(due)
+			if !pp.Staged && !pp.Warmup {
 				t.Errorf("sleep %v: period %d is neither staged nor warmup", sleep, k)
 			}
-			if staged && p.Warmup(due) {
+			if pp.Staged && pp.Warmup {
 				t.Errorf("sleep %v: period %d is both staged and warmup", sleep, k)
 			}
 		}
@@ -219,7 +220,7 @@ func TestReplanRestartsWarmup(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := p.ReadyAt(10 * time.Second); !ok {
+	if !p.PlanPeriod(10 * time.Second).Staged {
 		t.Fatal("period 10 should be staged before the replan")
 	}
 	// The user turned at t=8s: straight-line profile from (8, 0) north.
@@ -233,10 +234,10 @@ func TestReplanRestartsWarmup(t *testing.T) {
 	if st := p.Stats(); st.Replans != 1 || st.Epoch != 8*time.Second {
 		t.Fatalf("stats after replan = %+v", st)
 	}
-	if _, ok := p.ReadyAt(10 * time.Second); ok {
+	if p.PlanPeriod(10 * time.Second).Staged {
 		t.Error("period 10 still staged after the replan re-dispatched its chain")
 	}
-	if !p.Warmup(10 * time.Second) {
+	if !p.PlanPeriod(10 * time.Second).Warmup {
 		t.Error("period 10 should be inside the restarted warmup interval")
 	}
 	// Far enough out the new plan is staged again, centered on the new path.
@@ -269,43 +270,44 @@ func TestProfileValidityBoundsPlan(t *testing.T) {
 	}
 }
 
-// TestSamplerServesPlannedAreaOnly pins the membership rule: prefetched
-// readings go only to nodes inside the predicted pickup circle of a staged
-// period; everything else falls through to the base schedule.
+// TestSamplerServesPlannedAreaOnly pins the membership rule the engine
+// applies to PlanPeriod: prefetched readings go only to nodes inside the
+// predicted pickup circle of a staged period; everything else falls
+// through to the base schedule.
 func TestSamplerServesPlannedAreaOnly(t *testing.T) {
 	p, err := NewPlanner(testConfig(Strategy{Kind: JIT}), eastbound())
 	if err != nil {
 		t.Fatal(err)
 	}
-	base := func(id int32, at sim.Time) (sim.Time, bool) { return at - 2*time.Second, true }
-	s := p.Sampler(base)
-
 	due := 8 * time.Second // staged; predicted center (8, 0), radius 50
-	if ts, ok, pf := s(1, geom.Pt(10, 5), due); !ok || !pf || ts != due {
-		t.Errorf("in-area node: got (%v, %v, %v), want prefetched capture at the boundary", ts, ok, pf)
+	pp := p.PlanPeriod(due)
+	if !pp.Staged || pp.Warmup || pp.Capture != due || pp.Ready != due {
+		t.Fatalf("staged period = %+v, want a boundary capture ready at the boundary", pp)
 	}
-	if ts, ok, pf := s(2, geom.Pt(200, 0), due); !ok || pf || ts != 6*time.Second {
-		t.Errorf("out-of-area node: got (%v, %v, %v), want the base schedule", ts, ok, pf)
+	if !geom.Pt(10, 5).Within(pp.Pickup, pp.Radius) {
+		t.Errorf("in-area node outside the pickup circle %v/%v", pp.Pickup, pp.Radius)
 	}
-	// A warmup period's chain is late: even in-area nodes use the schedule.
-	if _, _, pf := s(1, geom.Pt(2, 0), 2*time.Second); pf {
-		t.Error("warmup period served a prefetched reading")
+	if geom.Pt(200, 0).Within(pp.Pickup, pp.Radius) {
+		t.Errorf("out-of-area node inside the pickup circle %v/%v", pp.Pickup, pp.Radius)
 	}
-	// The sampler itself keeps no ledger; the driver folds evaluation
-	// counts in once per period.
+	// A warmup period's chain is late: nothing is served from the plan.
+	if pp := p.PlanPeriod(2 * time.Second); pp.Staged || !pp.Warmup {
+		t.Errorf("warmup period = %+v, want unstaged warmup", pp)
+	}
+	// An uncovered boundary is neither staged nor warmup.
+	if pp := p.PlanPeriod(8*time.Second + time.Millisecond); pp != (core.PlannedPeriod{}) {
+		t.Errorf("off-boundary instant = %+v, want the zero period", pp)
+	}
+	// The plan itself keeps no ledger; the driver folds evaluation counts
+	// in once per period.
 	if st := p.Stats(); st.Served != 0 {
-		t.Errorf("sampler touched the served ledger: %d", st.Served)
+		t.Errorf("plan lookups touched the served ledger: %d", st.Served)
 	}
 	p.NoteServed(1)
 	p.NoteServed(0)
 	p.NoteServed(-3) // defensive: never decrements
 	if st := p.Stats(); st.Served != 1 {
 		t.Errorf("served ledger = %d, want 1", st.Served)
-	}
-	// Without a base sampler the fallback is the instantaneous oracle.
-	s0 := p.Sampler(nil)
-	if ts, ok, pf := s0(3, geom.Pt(500, 500), due); !ok || pf || ts != due {
-		t.Errorf("nil base fallback: got (%v, %v, %v)", ts, ok, pf)
 	}
 }
 
@@ -317,10 +319,10 @@ func TestStationaryUserWarmsUp(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !p.Warmup(time.Second) {
+	if !p.PlanPeriod(time.Second).Warmup {
 		t.Error("first period should still warm up: the chain cannot precede the profile")
 	}
-	if p.Warmup(time.Hour) {
+	if p.PlanPeriod(time.Hour).Warmup {
 		t.Error("a stationary user should eventually leave warmup")
 	}
 }

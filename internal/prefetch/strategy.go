@@ -8,12 +8,12 @@
 // area will be (the pickup point), when the prefetch chain for that period
 // must be dispatched (the equation-10 forward time), when the in-area nodes
 // capture their readings, and how long those prefetched readings may be
-// served (the equation-10 hold-time ledger). The engine consults the plan
-// two ways: a per-query sampler serves planned nodes their prefetched
-// reading timestamps during windowed evaluation, and the PrefetchPlan hooks
-// let EvaluateDue credit a period staged at the pickup point by its
-// boundary as evaluated at the boundary rather than at the clock tick that
-// collected it. Periods inside the equation-16 warmup interval after a new
+// served (the equation-10 hold-time ledger). The engine asks the plan once
+// per period (PlanPeriod, its PrefetchPlan route): nodes inside the
+// predicted pickup circle are served their prefetched reading timestamps
+// during windowed evaluation, and a period staged at the pickup point by
+// its boundary is credited as evaluated at the boundary rather than at the
+// clock tick that collected it. Periods inside the equation-16 warmup interval after a new
 // profile fall back to on-demand behavior and are flagged Warmup.
 package prefetch
 

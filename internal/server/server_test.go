@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
@@ -205,6 +206,52 @@ func TestSubscribeStreamsResultsAndEndFrame(t *testing.T) {
 	}
 	// The handler unregistered its stream.
 	waitFor(t, "stream unregistered", func() bool { return h.srv.Streams() == 0 })
+}
+
+// TestEmptyDiskStreamsNullValuesAndEndFrame pins the no-fresh-contributor
+// case end to end: every period over a disk with no fresh nodes has a NaN
+// average, which travels as a null value, and the stream still delivers
+// every result frame and its end frame.
+func TestEmptyDiskStreamsNullValuesAndEndFrame(t *testing.T) {
+	h := newHarness(t, mobiquery.ServiceConfig{})
+	req := wire.SubscribeRequest{
+		Spec:   testSpec(),
+		Motion: wire.Motion{Kind: "static", XM: -5000, YM: -5000}, // far outside the field
+	}
+	req.Spec.LifetimeNS = int64(6 * time.Second)
+	_, dec, done := h.subscribe(t, context.Background(), req)
+	defer done()
+
+	for i := 0; i < 4; i++ {
+		h.advance(t, 2*time.Second)
+	}
+	var results []wire.Result
+	var end *wire.Frame
+	for end == nil {
+		var f wire.Frame
+		if err := dec.Decode(&f); err != nil {
+			t.Fatalf("stream: %v (after %d results)", err, len(results))
+		}
+		switch f.Type {
+		case wire.FrameResult:
+			results = append(results, *f.Result)
+		case wire.FrameEnd:
+			end = &f
+		default:
+			t.Fatalf("unexpected frame %+v", f)
+		}
+	}
+	if len(results) != 3 {
+		t.Fatalf("got %d results, want 3", len(results))
+	}
+	for i, r := range results {
+		if r.K != i+1 || r.Contributors != 0 || !math.IsNaN(float64(r.Value)) {
+			t.Errorf("result %d: k %d, %d contributors, value %v; want an empty NaN period", i, r.K, r.Contributors, r.Value)
+		}
+	}
+	if end.Stats == nil || end.Stats.Delivered != 3 || end.Stats.Dropped != 0 {
+		t.Errorf("end frame stats %+v", end.Stats)
+	}
 }
 
 // TestClientDisconnectTearsDownSubscription pins the teardown contract:

@@ -19,6 +19,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 	"time"
 
@@ -216,13 +217,43 @@ type Frame struct {
 	Error  string    `json:"error,omitempty"`
 }
 
+// Float is a float64 on the wire that admits non-finite values: an
+// aggregate over zero fresh contributors (Avg, Min, Max) is NaN, which a
+// JSON number cannot carry. A finite Float encodes exactly as a float64
+// does; a non-finite one encodes as null, and null decodes back to NaN
+// (the sign of an infinity is not preserved).
+type Float float64
+
+// MarshalJSON implements json.Marshaler.
+func (f Float) MarshalJSON() ([]byte, error) {
+	v := float64(f)
+	if math.IsNaN(v) || math.IsInf(v, 0) {
+		return []byte("null"), nil
+	}
+	return json.Marshal(v)
+}
+
+// UnmarshalJSON implements json.Unmarshaler.
+func (f *Float) UnmarshalJSON(b []byte) error {
+	if string(b) == "null" {
+		*f = Float(math.NaN())
+		return nil
+	}
+	var v float64
+	if err := json.Unmarshal(b, &v); err != nil {
+		return err
+	}
+	*f = Float(v)
+	return nil
+}
+
 // Result is QueryResult on the wire, field for field.
 type Result struct {
 	K               int     `json:"k"`
 	DeadlineNS      int64   `json:"deadline_ns"`
 	Received        bool    `json:"received"`
 	OnTime          bool    `json:"on_time"`
-	Value           float64 `json:"value"`
+	Value           Float   `json:"value"`
 	Contributors    int     `json:"contributors"`
 	AreaNodes       int     `json:"area_nodes"`
 	Fidelity        float64 `json:"fidelity"`
@@ -247,7 +278,7 @@ func FromResult(r mobiquery.QueryResult) Result {
 		DeadlineNS:      int64(r.Deadline),
 		Received:        r.Received,
 		OnTime:          r.OnTime,
-		Value:           r.Value,
+		Value:           Float(r.Value),
 		Contributors:    r.Contributors,
 		AreaNodes:       r.AreaNodes,
 		Fidelity:        r.Fidelity,
@@ -275,7 +306,7 @@ func (r Result) QueryResult() mobiquery.QueryResult {
 		Deadline:        time.Duration(r.DeadlineNS),
 		Received:        r.Received,
 		OnTime:          r.OnTime,
-		Value:           r.Value,
+		Value:           float64(r.Value),
 		Contributors:    r.Contributors,
 		AreaNodes:       r.AreaNodes,
 		Fidelity:        r.Fidelity,

@@ -76,6 +76,35 @@ func TestResultRoundTripZeroAndExtremes(t *testing.T) {
 	}
 }
 
+// TestResultNonFiniteValueRoundTrip pins the empty-aggregate encoding: a
+// NaN or infinite value travels as null and decodes as NaN, with every
+// other field intact.
+func TestResultNonFiniteValueRoundTrip(t *testing.T) {
+	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		orig := fullResult()
+		orig.Value = v
+		var buf bytes.Buffer
+		if err := NewEncoder(&buf).Encode(Frame{Type: FrameResult, Result: ptr(FromResult(orig))}); err != nil {
+			t.Fatalf("value %v: encode: %v", v, err)
+		}
+		if !bytes.Contains(buf.Bytes(), []byte(`"value":null,`)) {
+			t.Errorf("value %v encoded as %s, want a null value", v, buf.Bytes())
+		}
+		var f Frame
+		if err := NewDecoder(&buf).Decode(&f); err != nil {
+			t.Fatalf("value %v: decode: %v", v, err)
+		}
+		got := f.Result.QueryResult()
+		if !math.IsNaN(got.Value) {
+			t.Errorf("value %v decoded as %v, want NaN", v, got.Value)
+		}
+		got.Value, orig.Value = 0, 0
+		if got != orig {
+			t.Errorf("value %v: round trip changed the result:\n got %+v\nwant %+v", v, got, orig)
+		}
+	}
+}
+
 func TestStreamOfFramesDecodesInOrder(t *testing.T) {
 	var buf bytes.Buffer
 	enc := NewEncoder(&buf)

@@ -235,24 +235,25 @@ func Open(ctx context.Context, nc NetworkConfig, opts ...Option) (*Service, erro
 
 	region := geom.Square(nc.RegionSide)
 	cell := nc.RegionSide / 32
-	engine, err := core.NewQueryEngineE(region, cell, nc.Field,
-		core.EngineConfig{Shards: nc.Service.Shards, Workers: nc.Service.Workers})
-	if err != nil {
-		return nil, err
-	}
-
 	s := &Service{
 		cfg:      nc,
 		opts:     o,
 		region:   region,
 		cell:     cell,
-		engine:   engine,
 		subs:     make(map[uint32]*Subscription),
 		pyramids: make(map[pyrKey]*pyramid.Pyramid),
 		stop:     make(chan struct{}),
 		spans:    obs.NewSpanSink(o.firehoseDepth),
 	}
-	engine.SetSampler(s.sampler())
+	engine, err := core.NewQueryEngineE(region, cell, nc.Field, core.EngineConfig{
+		Shards:  nc.Service.Shards,
+		Workers: nc.Service.Workers,
+		Sampler: s.sampler(),
+	})
+	if err != nil {
+		return nil, err
+	}
+	s.engine = engine
 	s.obs = newSvcObs(s)
 
 	// Node placement matches the scale harness: one serial RNG drained up

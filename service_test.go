@@ -57,6 +57,9 @@ func TestSubscribeReturnsSpecErrors(t *testing.T) {
 	src := StaticPosition(Pt(225, 225))
 	bad := []QuerySpec{
 		{Radius: 0, Period: time.Second},
+		{Radius: math.NaN(), Period: time.Second},
+		{Radius: math.Inf(1), Period: time.Second},
+		{Radius: math.Inf(-1), Period: time.Second},
 		{Radius: 100, Period: 0},
 		{Radius: 100, Period: time.Second, Deadline: -1},
 		{Radius: 100, Period: time.Second, Freshness: 2 * time.Second},

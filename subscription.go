@@ -3,6 +3,7 @@ package mobiquery
 import (
 	"context"
 	"fmt"
+	"math"
 	"math/rand"
 	"sync"
 	"time"
@@ -136,8 +137,8 @@ func (q QuerySpec) Validate() error {
 		return err
 	}
 	switch {
-	case q.Radius <= 0:
-		return fmt.Errorf("mobiquery: query radius %v must be positive", q.Radius)
+	case !(q.Radius > 0) || math.IsInf(q.Radius, 1):
+		return fmt.Errorf("mobiquery: query radius %v must be positive and finite", q.Radius)
 	case q.Period <= 0:
 		return fmt.Errorf("mobiquery: query period %v must be positive", q.Period)
 	case q.Deadline < 0:
@@ -488,8 +489,9 @@ func (s *Service) Subscribe(ctx context.Context, spec QuerySpec, src MotionSourc
 	}
 	sub.stats.NextPeriod = 1
 	sub.lastArmedNS = time.Now().UnixNano()
-	var planner *prefetch.Planner
-	var cache *corridor.Cache
+	// The serve route is fixed here, once: planned (plus corridor when
+	// asked), pyramid, or cold.
+	var route core.Route
 	if spec.Strategy.Prefetching() {
 		// The initial prediction: for a ProfileSource, the predictor's own
 		// stream (times shifted onto the service clock), bootstrapped from
@@ -511,8 +513,7 @@ func (s *Service) Subscribe(ctx context.Context, spec QuerySpec, src MotionSourc
 		} else {
 			prof = profileFromSource(src, s.now, spec.Period)
 		}
-		var err error
-		planner, err = prefetch.NewPlanner(prefetch.Config{
+		planner, err := prefetch.NewPlanner(prefetch.Config{
 			Strategy: spec.Strategy,
 			Radius:   spec.Radius,
 			Period:   spec.Period,
@@ -524,8 +525,9 @@ func (s *Service) Subscribe(ctx context.Context, spec QuerySpec, src MotionSourc
 		if err != nil {
 			return nil, err
 		}
+		sub.planner, route.Plan = planner, planner
 		if spec.Corridor.Lookahead > 0 {
-			cache, err = corridor.NewCache(corridor.Config{
+			cache, err := corridor.NewCache(corridor.Config{
 				Lookahead: spec.Corridor.Lookahead,
 				Model:     spec.Corridor.ErrorModel,
 				Radius:    spec.Radius,
@@ -536,20 +538,7 @@ func (s *Service) Subscribe(ctx context.Context, spec QuerySpec, src MotionSourc
 				return nil, err
 			}
 			cache.SetProfile(prof, s.now)
-		}
-	}
-	err := s.engine.RegisterTemporalE(sub.id, spec.Radius, src.PositionAt(0),
-		core.TemporalSpec{Period: spec.Period, Deadline: spec.Deadline, Fresh: spec.Freshness, Window: spec.Window}, s.now)
-	if err != nil {
-		return nil, err
-	}
-	if planner != nil {
-		sub.planner = planner
-		s.engine.SetQuerySampler(sub.id, planner.Sampler(s.sampler()))
-		s.engine.SetQueryPlan(sub.id, planner)
-		if cache != nil {
-			sub.corridor = cache
-			s.engine.SetQueryWarmer(sub.id, cache)
+			sub.corridor, route.Warmer = cache, cache
 		}
 	} else if spec.Window > 1 || spec.Radius >= pyramidMinRadiusCells*s.cell {
 		// On-demand subscriptions with large areas (or lookback windows,
@@ -560,8 +549,12 @@ func (s *Service) Subscribe(ctx context.Context, spec QuerySpec, src MotionSourc
 		if perr != nil {
 			return nil, perr
 		}
-		sub.pyramid = p
-		s.engine.SetQueryAggIndex(sub.id, p)
+		sub.pyramid, route.Index = p, p
+	}
+	err := s.engine.RegisterTemporalE(sub.id, spec.Radius, src.PositionAt(0),
+		core.TemporalSpec{Period: spec.Period, Deadline: spec.Deadline, Fresh: spec.Freshness, Window: spec.Window}, s.now, route)
+	if err != nil {
+		return nil, err
 	}
 	s.subs[sub.id] = sub
 	s.totOpened.Add(1)
@@ -733,21 +726,12 @@ func (sub *Subscription) collectDue(now time.Duration, poppedNS int64, buf []pen
 		if !ok {
 			return buf
 		}
-		// Classify the serve: the classes partition evaluated periods, so
-		// the per-class counters sum to the delivery ledger (delivered +
-		// dropped), which the loopback reconciliation test pins.
-		class := obs.ClassCold
-		switch {
-		case wr.PyramidHit:
-			class = obs.ClassPyramid
-		case wr.CorridorHit:
-			class = obs.ClassCorridor
-		case sub.planner != nil:
-			class = obs.ClassPlanned
-		}
+		// The serve classes partition evaluated periods, so the per-class
+		// counters sum to the delivery ledger (delivered + dropped), which
+		// the loopback reconciliation test pins.
 		so := sub.svc.obs
-		so.classCount[class].Inc()
-		so.classEval[class].Observe(evalEndNS - evalStartNS)
+		so.classCount[wr.Class].Inc()
+		so.classEval[wr.Class].Observe(evalEndNS - evalStartNS)
 		if sub.planner != nil {
 			sub.planner.NoteServed(wr.Prefetched)
 		}
@@ -799,7 +783,7 @@ func (sub *Subscription) collectDue(now time.Duration, poppedNS int64, buf []pen
 				PoppedNS:    popNS,
 				EvalStartNS: evalStartNS,
 				EvalEndNS:   evalEndNS,
-				Class:       class,
+				Class:       wr.Class,
 				Late:        wr.Late,
 			},
 		})
@@ -841,8 +825,8 @@ func (sub *Subscription) makeResult(wr core.WindowResult) QueryResult {
 		MaxStaleness:    wr.MaxStaleness,
 		Warmup:          wr.Warmup,
 		PrefetchedNodes: wr.Prefetched,
-		CorridorHit:     wr.CorridorHit,
-		PyramidHit:      wr.PyramidHit,
+		CorridorHit:     wr.Class == obs.ClassCorridor,
+		PyramidHit:      wr.Class == obs.ClassPyramid,
 		WindowPeriods:   wr.WindowPeriods,
 	}
 	if wr.AreaNodes > 0 {
