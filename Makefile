@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test race bench bench-json bench-compare bench-idle-1m serve-smoke slo-compare obs-smoke trace-smoke fmt vet vet-perfbench check
+.PHONY: all build test race figs bench bench-json bench-compare bench-idle-1m serve-smoke slo-compare obs-smoke trace-smoke fmt vet vet-perfbench check
 
 all: build
 
@@ -15,6 +15,15 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# The four temporal figures at default scale, on the shipping session
+# (churn, prefetch, corridor) and the engine reference (pyramid). Each
+# printer exits non-zero when its property fails: churn isolation,
+# Shards/Workers digest invariance, corridor/exact == jit/exact,
+# pyramid == flat, and prefetching cutting late periods.
+figs:
+	$(GO) build -o bin/mobiquery-experiments ./cmd/mobiquery-experiments
+	for f in churn prefetch corridor pyramid; do bin/mobiquery-experiments -fig $$f || exit 1; done
 
 # One pass over every benchmark as a smoke test; use `go test -bench=. ./...`
 # directly for real measurements.
@@ -112,4 +121,4 @@ vet-perfbench:
 # serve-smoke is a prerequisite of slo-compare, obs-smoke, and
 # trace-smoke; make runs it once per invocation, so check drives one
 # smoke run and gates all three artifacts off it.
-check: build fmt vet vet-perfbench test race bench-compare slo-compare obs-smoke trace-smoke
+check: build fmt vet vet-perfbench test race figs bench-compare slo-compare obs-smoke trace-smoke

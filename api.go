@@ -33,9 +33,9 @@
 //	result, err := mobiquery.RunE(cfg)
 //	fmt.Println(result.SuccessRatio)
 //
-// For reproducing the paper's figures, see internal/experiment via the
-// cmd/mobiquery-experiments binary; for the closed-form Section 5 analysis,
-// see cmd/mobiquery-analysis.
+// cmd/mobiquery-experiments reproduces the paper's figures: internal/experiment
+// runs the batch ones, internal/livefig the temporal ones on this session
+// API; cmd/mobiquery-analysis gives the closed-form Section 5 analysis.
 package mobiquery
 
 import (

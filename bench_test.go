@@ -325,27 +325,6 @@ func BenchmarkSessionStream(b *testing.B) {
 	}
 }
 
-// BenchmarkChurnScenario runs the dynamic-membership harness (streaming
-// temporal evaluation with users joining and leaving) at a reduced
-// population and reports evaluations per second.
-func BenchmarkChurnScenario(b *testing.B) {
-	b.ReportAllocs()
-	cfg := experiment.DefaultChurn()
-	cfg.Nodes = 2000
-	cfg.RegionSide = 1000
-	cfg.Static = 20
-	cfg.Churners = 40
-	cfg.Duration = 30 * time.Second
-	for i := 0; i < b.N; i++ {
-		res, err := experiment.RunChurn(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(float64(res.Evaluations)/res.Elapsed.Seconds(), "evals/s")
-		b.ReportMetric(res.MeanFresh, "fresh-sensors")
-	}
-}
-
 // benchAdvanceService opens a service and loads it with subscribers, all
 // sharing one period. The field density matches the paper-scale workload
 // (~90 nodes per query area), so the dense benchmark measures realistic

@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"mobiquery/internal/experiment"
+	"mobiquery/internal/livefig"
 )
 
 func main() {
@@ -142,32 +143,37 @@ func printScale(seed int64, users, nodes, shards, workers int) error {
 	return nil
 }
 
+// sized applies the command line's seed, field size and engine sizing to a
+// live figure's sensors.
+func sized(s livefig.Sensors, seed int64, nodes, shards, workers int) livefig.Sensors {
+	s.Seed, s.Shards, s.Workers = seed, shards, workers
+	if nodes != 0 {
+		s.Nodes = nodes
+	}
+	return s
+}
+
 // printChurn runs the dynamic-membership scenario — streaming users with
 // freshness windows and deadlines, joining and leaving mid-run — twice:
 // once with churners and once with the static population alone, and checks
 // that churn left the static users' results untouched.
 func printChurn(seed int64, users, nodes, shards, workers int) error {
-	cfg := experiment.DefaultChurn()
-	cfg.Seed = seed
+	cfg := livefig.DefaultChurn()
+	cfg.Sensors = sized(cfg.Sensors, seed, nodes, shards, workers)
 	if users != 0 {
 		cfg.Static = users
 	}
-	if nodes != 0 {
-		cfg.Nodes = nodes
-	}
-	cfg.Shards = shards
-	cfg.Workers = workers
 
 	fmt.Printf("churn scenario: %d static + %d churning users on a %d-node field (%v session, Tperiod=%v, Tfresh=%v)\n",
 		cfg.Static, cfg.Churners, cfg.Nodes, cfg.Duration, cfg.Period, cfg.Fresh)
 
-	res, err := experiment.RunChurn(cfg)
+	res, err := livefig.RunChurn(cfg)
 	if err != nil {
 		return err
 	}
 	alone := cfg
 	alone.Churners = 0
-	ref, err := experiment.RunChurn(alone)
+	ref, err := livefig.RunChurn(alone)
 	if err != nil {
 		return err
 	}
@@ -188,27 +194,22 @@ func printChurn(seed int64, users, nodes, shards, workers int) error {
 // engine sizing) to verify the digests are invariant, and checks the
 // headline property that prefetching reduces late periods.
 func printPrefetch(seed int64, users, nodes, shards, workers int) error {
-	cfg := experiment.DefaultPrefetch()
-	cfg.Seed = seed
+	cfg := livefig.DefaultPrefetch()
+	cfg.Sensors = sized(cfg.Sensors, seed, nodes, shards, workers)
 	if users != 0 {
 		cfg.Users = users
 	}
-	if nodes != 0 {
-		cfg.Nodes = nodes
-	}
-	cfg.Shards = shards
-	cfg.Workers = workers
 
 	fmt.Printf("prefetch scenario: %d mobile users on a %d-node field (%v session, Tperiod=%v, Tfresh=%v, duty cycle %v, tick %v)\n",
 		cfg.Users, cfg.Nodes, cfg.Duration, cfg.Period, cfg.Fresh, cfg.SamplePeriod, cfg.Tick)
 
-	res, err := experiment.RunPrefetch(cfg)
+	res, err := livefig.RunPrefetch(cfg)
 	if err != nil {
 		return err
 	}
 	alt := cfg
 	alt.Shards, alt.Workers = 1, 1
-	ref, err := experiment.RunPrefetch(alt)
+	ref, err := livefig.RunPrefetch(alt)
 	if err != nil {
 		return err
 	}
@@ -238,27 +239,22 @@ func printPrefetch(seed int64, users, nodes, shards, workers int) error {
 // jit/exact bit for bit), and reports staged-hit and mispredict rates plus
 // the measured warm-vs-cold evaluation cost.
 func printCorridor(seed int64, users, nodes, shards, workers int) error {
-	cfg := experiment.DefaultCorridor()
-	cfg.Seed = seed
+	cfg := livefig.DefaultCorridor()
+	cfg.Sensors = sized(cfg.Sensors, seed, nodes, shards, workers)
 	if users != 0 {
 		cfg.Users = users
 	}
-	if nodes != 0 {
-		cfg.Nodes = nodes
-	}
-	cfg.Shards = shards
-	cfg.Workers = workers
 
 	fmt.Printf("corridor scenario: %d turning users on a %d-node field (%v session, Tperiod=%v, duty cycle %v, GPS %v/%vm, lookahead %d)\n",
 		cfg.Users, cfg.Nodes, cfg.Duration, cfg.Period, cfg.SamplePeriod, cfg.GPSSampling, cfg.GPSError, cfg.Lookahead)
 
-	res, err := experiment.RunCorridor(cfg)
+	res, err := livefig.RunCorridor(cfg)
 	if err != nil {
 		return err
 	}
 	alt := cfg
 	alt.Shards, alt.Workers = 1, 1
-	ref, err := experiment.RunCorridor(alt)
+	ref, err := livefig.RunCorridor(alt)
 	if err != nil {
 		return err
 	}

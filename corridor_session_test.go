@@ -347,3 +347,65 @@ func TestCorridorReplanRacesAdvance(t *testing.T) {
 		}
 	}
 }
+
+// TestPlannedMotionCorridorNeverMispredicts pins PlannedMotion's contract:
+// per-leg profiles are exact through every turn, so a JIT+corridor
+// subscription under a 2 m error model never mispredicts, and its results
+// equal those of the same subscription without a corridor.
+func TestPlannedMotionCorridorNeverMispredicts(t *testing.T) {
+	motion := func() ProfileSource {
+		src, err := PlannedMotion(CourseConfig{
+			Seed:           7,
+			RegionSide:     450,
+			Start:          Pt(220, 220),
+			SpeedMin:       3,
+			SpeedMax:       5,
+			ChangeInterval: 5 * time.Second,
+			Duration:       30 * time.Second,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return src
+	}
+	svc, err := Open(context.Background(), sleepyNetwork(), WithResultBuffer(64))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Close()
+	plain, err := svc.Subscribe(context.Background(), prefetchSpec(JITStrategy()), motion())
+	if err != nil {
+		t.Fatal(err)
+	}
+	warm, err := svc.Subscribe(context.Background(), corridorSpec(4), motion())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 100; i++ {
+		if err := svc.Advance(300 * time.Millisecond); err != nil {
+			t.Fatal(err)
+		}
+	}
+	st, ok := warm.PrefetchStats()
+	if !ok {
+		t.Fatal("corridor subscription has no planner stats")
+	}
+	if st.CorridorMispredicts != 0 {
+		t.Errorf("exact per-leg profiles produced %d mispredicts", st.CorridorMispredicts)
+	}
+	if st.CorridorHits == 0 {
+		t.Error("corridor subscription never served a warm period")
+	}
+	if st.Replans < 5 {
+		t.Errorf("replans = %d, want one per leg after the first (a 30 s course turning every 5 s)", st.Replans)
+	}
+	pr, wr := drain(plain), drain(warm)
+	if len(pr) != 30 || len(wr) != 30 {
+		t.Fatalf("streamed %d/%d periods, want 30 each", len(pr), len(wr))
+	}
+	for i, r := range stripCorridorHit(wr) {
+		if r != pr[i] {
+			t.Fatalf("period %d diverged between corridor and plain JIT:\nwarm %+v\ncold %+v", i+1, wr[i], pr[i])
+		}
+	}
+}

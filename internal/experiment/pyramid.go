@@ -286,54 +286,67 @@ func runPyramidPass(cfg PyramidConfig, arm pyramidArm, region geom.Rect,
 		route.Index = pyr
 	}
 	spec := core.TemporalSpec{Period: cfg.Period, Deadline: cfg.Deadline, Fresh: cfg.Fresh, Window: arm.window}
-	byID := make(map[uint32]*pyramidUser, len(users))
 	for _, u := range users {
 		*u = pyramidUser{id: u.id, course: u.course}
-		byID[u.id] = u
 		if err := eng.RegisterTemporalE(u.id, cfg.Radius, u.course.PosAt(0), spec, 0, route); err != nil {
 			return PyramidOutcome{}, err
 		}
 	}
 
-	pump := newDuePump(eng, byID)
+	// The engine is driven the way Service.Advance drives it: per tick,
+	// pop every query due by t in (due, id) order, drain each one's due
+	// boundaries on a dispatch worker into that worker's re-arm batch, and
+	// flush the batches once the dispatch completes. Each user's evaluation
+	// depends only on the shared field and their own course; epoch ingest
+	// is cooperative, so the fan-out cannot change results.
+	rearms := make([]*core.RearmBatch, eng.Workers())
+	for i := range rearms {
+		rearms[i] = eng.NewRearmBatch()
+	}
+	var due []core.DueEntry
 	for t := cfg.Tick; t <= cfg.Duration; t += cfg.Tick {
-		// Each user's evaluation depends only on the shared field and their
-		// own course; epoch ingest is cooperative, so the fan-out cannot
-		// change results.
-		pump.tick(t, func(u *pyramidUser, id uint32, nextDue sim.Time, rb *core.RearmBatch) bool {
-			if pyr != nil {
-				pyr.EnsureEpoch(nextDue)
+		due = eng.PopDue(t, due[:0])
+		eng.DispatchWorkers(len(due), func(worker, i int) {
+			id := due[i].ID
+			u := users[id-1]
+			for {
+				_, nextDue, ok := eng.NextDue(id)
+				if !ok || nextDue > t {
+					return
+				}
+				if pyr != nil {
+					pyr.EnsureEpoch(nextDue)
+				}
+				eng.UpdateWaypoint(id, u.course.PosAt(nextDue))
+				wr, ok := eng.EvaluateDueBatch(id, t, rearms[worker])
+				if !ok {
+					return
+				}
+				u.evals++
+				u.stale += wr.StaleNodes
+				u.stalenessSum += wr.MaxStaleness
+				if wr.Late {
+					u.late++
+				}
+				if wr.Class == obs.ClassPyramid {
+					u.hits++
+				} else {
+					u.cold++
+				}
+				// Every value a subscriber could observe — and never the
+				// serve route, which must not change them.
+				for _, v := range [...]uint64{
+					uint64(wr.K), uint64(wr.Data.Count), math.Float64bits(wr.Data.Sum),
+					math.Float64bits(wr.Data.Min), math.Float64bits(wr.Data.Max), uint64(wr.AreaNodes),
+					uint64(wr.StaleNodes), uint64(wr.MaxStaleness), uint64(wr.Lateness), uint64(wr.WindowPeriods),
+				} {
+					u.digest = u.digest*1099511628211 ^ v
+				}
 			}
-			eng.UpdateWaypoint(id, u.course.PosAt(nextDue))
-			wr, ok := eng.EvaluateDueBatch(id, t, rb)
-			if !ok {
-				return false
-			}
-			u.evals++
-			u.stale += wr.StaleNodes
-			u.stalenessSum += wr.MaxStaleness
-			if wr.Late {
-				u.late++
-			}
-			if wr.Class == obs.ClassPyramid {
-				u.hits++
-			} else {
-				u.cold++
-			}
-			// Every value a subscriber could observe — and never the
-			// serve route, which must not change them.
-			u.digest = u.digest*1099511628211 ^ uint64(wr.K)
-			u.digest = u.digest*1099511628211 ^ uint64(wr.Data.Count)
-			u.digest = u.digest*1099511628211 ^ math.Float64bits(wr.Data.Sum)
-			u.digest = u.digest*1099511628211 ^ math.Float64bits(wr.Data.Min)
-			u.digest = u.digest*1099511628211 ^ math.Float64bits(wr.Data.Max)
-			u.digest = u.digest*1099511628211 ^ uint64(wr.AreaNodes)
-			u.digest = u.digest*1099511628211 ^ uint64(wr.StaleNodes)
-			u.digest = u.digest*1099511628211 ^ uint64(wr.MaxStaleness)
-			u.digest = u.digest*1099511628211 ^ uint64(wr.Lateness)
-			u.digest = u.digest*1099511628211 ^ uint64(wr.WindowPeriods)
-			return true
 		})
+		for _, rb := range rearms {
+			eng.FlushRearms(rb)
+		}
 	}
 
 	out := PyramidOutcome{Label: arm.label, Pyramid: arm.pyramid, Window: arm.window}

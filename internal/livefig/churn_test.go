@@ -1,4 +1,4 @@
-package experiment
+package livefig
 
 import (
 	"testing"
@@ -26,12 +26,11 @@ func TestChurnValidate(t *testing.T) {
 		func(c *ChurnConfig) { c.Static = 0 },
 		func(c *ChurnConfig) { c.Churners = -1 },
 		func(c *ChurnConfig) { c.Radius = 0 },
-		func(c *ChurnConfig) { c.SamplePeriod = 0 },
+		func(c *ChurnConfig) { c.SamplePeriod = -time.Second },
 		func(c *ChurnConfig) { c.Period = 0 },
 		func(c *ChurnConfig) { c.Deadline = -1 },
 		func(c *ChurnConfig) { c.Tick = 0 },
 		func(c *ChurnConfig) { c.Duration = c.Period / 2 },
-		func(c *ChurnConfig) { c.Field = nil },
 	}
 	for i, mutate := range bad {
 		cfg := DefaultChurn()

@@ -1,4 +1,4 @@
-package experiment
+package livefig
 
 import (
 	"testing"
@@ -25,7 +25,7 @@ func TestCorridorValidate(t *testing.T) {
 		func(c *CorridorConfig) { c.Nodes = 0 },
 		func(c *CorridorConfig) { c.Users = 0 },
 		func(c *CorridorConfig) { c.Radius = 0 },
-		func(c *CorridorConfig) { c.SamplePeriod = 0 },
+		func(c *CorridorConfig) { c.SamplePeriod = -time.Second },
 		func(c *CorridorConfig) { c.Period = 0 },
 		func(c *CorridorConfig) { c.SpeedMin = 0 },
 		func(c *CorridorConfig) { c.SpeedMax = c.SpeedMin / 2 },
@@ -36,7 +36,6 @@ func TestCorridorValidate(t *testing.T) {
 		func(c *CorridorConfig) { c.GPSError = -1 },
 		func(c *CorridorConfig) { c.Lookahead = 0 },
 		func(c *CorridorConfig) { c.ErrorBound = -1 },
-		func(c *CorridorConfig) { c.Field = nil },
 	}
 	for i, mutate := range bad {
 		cfg := DefaultCorridor()

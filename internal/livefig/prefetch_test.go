@@ -1,13 +1,11 @@
-package experiment
+package livefig
 
 import (
 	"testing"
 	"time"
 
+	"mobiquery"
 	"mobiquery/internal/analysis"
-	"mobiquery/internal/geom"
-	"mobiquery/internal/mobility"
-	"mobiquery/internal/prefetch"
 )
 
 func smallPrefetch() PrefetchConfig {
@@ -27,14 +25,12 @@ func TestPrefetchValidate(t *testing.T) {
 		func(c *PrefetchConfig) { c.Nodes = 0 },
 		func(c *PrefetchConfig) { c.Users = 0 },
 		func(c *PrefetchConfig) { c.Radius = 0 },
-		func(c *PrefetchConfig) { c.SamplePeriod = 0 },
+		func(c *PrefetchConfig) { c.SamplePeriod = -time.Second },
 		func(c *PrefetchConfig) { c.Period = 0 },
 		func(c *PrefetchConfig) { c.Deadline = -1 },
 		func(c *PrefetchConfig) { c.Tick = 0 },
 		func(c *PrefetchConfig) { c.Duration = c.Period / 2 },
 		func(c *PrefetchConfig) { c.Lookahead = -1 },
-		func(c *PrefetchConfig) { c.Replans = -1 },
-		func(c *PrefetchConfig) { c.Field = nil },
 	}
 	for i, mutate := range bad {
 		cfg := DefaultPrefetch()
@@ -151,29 +147,6 @@ func TestPrefetchDigestPinned(t *testing.T) {
 	}
 }
 
-// TestPrefetchReplansCostWarmup pins the motion-change cost: injecting
-// ground-truth re-plans multiplies warmup periods without perturbing the
-// on-demand baseline.
-func TestPrefetchReplansCostWarmup(t *testing.T) {
-	base := smallPrefetch()
-	ref, err := RunPrefetch(base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	replanned := base
-	replanned.Replans = 2
-	got, err := RunPrefetch(replanned)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.JIT.WarmupPeriods <= ref.JIT.WarmupPeriods {
-		t.Errorf("re-plans did not add warmup periods (%d vs %d)", got.JIT.WarmupPeriods, ref.JIT.WarmupPeriods)
-	}
-	if got.OnDemand.Digest != ref.OnDemand.Digest {
-		t.Error("re-plans perturbed the on-demand baseline, which has no planner")
-	}
-}
-
 // TestGreedyShortLookaheadStaysLate pins the equation-10 failure mode: a
 // lookahead window smaller than the forward margin can never stage a period
 // by its boundary, so every greedy period stays as late as on-demand ones.
@@ -190,10 +163,8 @@ func TestGreedyShortLookaheadStaysLate(t *testing.T) {
 	if res.Greedy.Late != res.OnDemand.Late {
 		t.Errorf("unstaged greedy lateness (%d) should match on-demand (%d)", res.Greedy.Late, res.OnDemand.Late)
 	}
-	if _, err := prefetch.NewPlanner(prefetch.Config{
-		Strategy: prefetch.Strategy{Kind: prefetch.Greedy, Lookahead: 2},
-		Radius:   1, Period: time.Second,
-	}, mobility.Profile{Path: mobility.Stationary(geom.Pt(0, 0), 0)}); err != nil {
+	spec := mobiquery.QuerySpec{Radius: 1, Period: time.Second, Strategy: mobiquery.GreedyStrategy(2)}
+	if err := spec.Validate(); err != nil {
 		t.Fatalf("short lookahead is legal, just ineffective: %v", err)
 	}
 }

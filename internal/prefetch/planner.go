@@ -343,6 +343,10 @@ type Stats struct {
 	WarmupUntil sim.Time
 	// Epoch is when the governing profile was installed.
 	Epoch sim.Time
+	// Outstanding is the live equation-11/12 storage count: chains
+	// dispatched and not yet consumed (see Planner.Outstanding). The planner
+	// leaves it zero; the session layer fills it at read time.
+	Outstanding int
 
 	// The corridor counters describe the subscription's spatial corridor
 	// cache when one is attached; the session layer fills them from

@@ -82,7 +82,7 @@ func newSvcObs(s *Service) *svcObs {
 		"Advance calls on which no period was due")
 	stage := func(name string) *obs.Histogram {
 		return reg.Histogram("mobiquery_advance_stage_seconds", `stage="`+name+`"`,
-			"wall time per Advance stage: pop (due-batch collection), evaluate (fan-out), flush (schedule re-arms), deliver (k-way merge + channel sends)",
+			"wall time per Advance stage: pop (due-batch collection), evaluate (fan-out), flush (schedule re-arms), deliver (channel sends, lane by lane in pop order)",
 			obsMaxStage, 1e-9)
 	}
 	o.stagePop = stage("pop")
@@ -92,7 +92,7 @@ func newSvcObs(s *Service) *svcObs {
 	o.popBatch = reg.Histogram("mobiquery_advance_pop_batch", "",
 		"subscriptions popped due per non-empty Advance step", 1<<21, 1)
 	o.mergeDepth = reg.Histogram("mobiquery_advance_merge_depth", "",
-		"scheduler stripes contributing to each non-empty PopDue (k of the k-way merge)", 64, 1)
+		"scheduler stripes contributing to each non-empty PopDue (k of its k-way stripe merge)", 64, 1)
 
 	for c := obs.Class(0); c < obs.NumClasses; c++ {
 		lbl := `class="` + c.String() + `"`

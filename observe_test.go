@@ -154,3 +154,73 @@ func TestServiceMetricsExposition(t *testing.T) {
 	}
 	_ = sub
 }
+
+// TestDeliveryOrderIndependentOfWorkers pins what lane-order delivery
+// promises. A coarse step makes several periods due per subscription;
+// each subscription still receives its results in increasing K, and the
+// span firehose — the only surface that sees the order across
+// subscriptions — records the same (Trace, K) sequence for 1 and 4
+// workers.
+func TestDeliveryOrderIndependentOfWorkers(t *testing.T) {
+	type key struct {
+		trace TraceID
+		k     int
+	}
+	run := func(workers int) []key {
+		nc := testNetwork()
+		nc.Service.Workers = workers
+		svc, err := Open(context.Background(), nc, WithResultBuffer(64))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer svc.Close()
+		var subs []*Subscription
+		for i := 0; i < 12; i++ {
+			spec := QuerySpec{Radius: 100, Period: time.Duration(400+100*(i%3)) * time.Millisecond, Trace: TraceID(i + 1)}
+			sub, err := svc.Subscribe(context.Background(), spec, LinearMotion(Pt(100+float64(20*i), 200), 1, 0))
+			if err != nil {
+				t.Fatal(err)
+			}
+			subs = append(subs, sub)
+			if i%4 == 3 {
+				if err := svc.Advance(130 * time.Millisecond); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		for i := 0; i < 3; i++ {
+			if err := svc.Advance(3 * time.Second); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, sub := range subs {
+			rs := drain(sub)
+			if len(rs) < 3*3000/600 {
+				t.Fatalf("workers=%d: subscription %d streamed only %d periods", workers, sub.ID(), len(rs))
+			}
+			for i, r := range rs {
+				if r.K != i+1 {
+					t.Fatalf("workers=%d: subscription %d result %d has K %d", workers, sub.ID(), i, r.K)
+				}
+			}
+		}
+		spans, _, dropped := svc.FirehoseSpans(nil)
+		if dropped != 0 {
+			t.Fatalf("firehose dropped %d spans", dropped)
+		}
+		out := make([]key, len(spans))
+		for i, sp := range spans {
+			out[i] = key{sp.Trace, sp.K}
+		}
+		return out
+	}
+	one, four := run(1), run(4)
+	if len(one) != len(four) {
+		t.Fatalf("firehose holds %d spans with 1 worker, %d with 4", len(one), len(four))
+	}
+	for i := range one {
+		if one[i] != four[i] {
+			t.Fatalf("firehose span %d: %+v with 1 worker, %+v with 4", i, one[i], four[i])
+		}
+	}
+}

@@ -335,3 +335,42 @@ func TestPrefetchInvariantAcrossEngineSizing(t *testing.T) {
 		}
 	}
 }
+
+// TestPrefetchStatsOutstandingMatchesStorageBound pins the live storage
+// ledger: the peak PrefetchStats.Outstanding read after each clock step of
+// a JIT subscription is the equation-12 constant, and an on-demand
+// subscription has no planner to report.
+func TestPrefetchStatsOutstandingMatchesStorageBound(t *testing.T) {
+	nc := sleepyNetwork()
+	svc, err := Open(context.Background(), nc, WithResultBuffer(128))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Close()
+	spec := prefetchSpec(JITStrategy())
+	sub, err := svc.Subscribe(context.Background(), spec, LinearMotion(Pt(150, 150), 2, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	od, err := svc.Subscribe(context.Background(), prefetchSpec(OnDemandStrategy()), LinearMotion(Pt(150, 150), 2, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	peak := 0
+	for i := 0; i < 100; i++ {
+		if err := svc.Advance(300 * time.Millisecond); err != nil {
+			t.Fatal(err)
+		}
+		st, ok := sub.PrefetchStats()
+		if !ok {
+			t.Fatal("JIT subscription has no planner stats")
+		}
+		peak = max(peak, st.Outstanding)
+	}
+	if want := JITStorageBound(nc.SamplePeriod, spec.Freshness, spec.Period); peak != want {
+		t.Errorf("peak outstanding = %d, want the equation-12 bound %d", peak, want)
+	}
+	if _, ok := od.PrefetchStats(); ok {
+		t.Error("on-demand subscription reports planner stats")
+	}
+}

@@ -203,15 +203,12 @@ type Service struct {
 	// and guards the scratch buffers below, which are reused across steps
 	// so a steady-state Advance allocates nothing on the scheduling path.
 	// rearms holds one schedule re-arm batch per dispatch worker (created
-	// on the first non-empty step); lanes and cur are the delivery merge's
-	// cursor heap and per-lane positions.
+	// on the first non-empty step).
 	advMu  sync.Mutex
 	due    []core.DueEntry
 	batch  []*Subscription
 	outs   [][]pendingResult
 	rearms []*core.RearmBatch
-	lanes  []int
-	cur    []int
 }
 
 // Open stands up a Service over the configured sensor field. Configuration
@@ -448,8 +445,8 @@ type ServiceStats struct {
 	// SchedStripes is the due-period scheduler's stripe count and SchedLen
 	// its armed-entry total; SchedStripeLens breaks SchedLen down per
 	// stripe (balance under load), and SchedMergeDepth is how many stripes
-	// contributed to the most recent non-empty due batch — the k of its
-	// k-way delivery merge.
+	// contributed to the most recent non-empty due batch — the k of
+	// PopDue's k-way merge of the stripes' sorted runs.
 	SchedStripes    int
 	SchedLen        int
 	SchedStripeLens []int
@@ -480,10 +477,10 @@ func (s *Service) Stats() ServiceStats {
 // no matter how many subscribers are idle. Due subscriptions are evaluated
 // in parallel across the engine's worker pool (waypoint update plus
 // freshness-windowed evaluation per period), with each worker batching its
-// schedule re-arms and flushing them once per stripe; the finished lanes
-// are then streaming-merged and delivered serially in ascending
-// (deadline, id) order, so results are byte-identical whatever the
-// Shards/Workers configuration.
+// schedule re-arms and flushing them once per stripe. Each subscription's
+// finished lane is then delivered serially, in the order PopDue returned
+// the subscriptions, so results and delivery order are byte-identical
+// whatever the Shards/Workers configuration.
 func (s *Service) Advance(d time.Duration) error {
 	if d < 0 {
 		return fmt.Errorf("mobiquery: cannot advance time backwards (%v)", d)
@@ -559,66 +556,21 @@ func (s *Service) Advance(d time.Duration) error {
 	// the step: the schedule re-arms complete once, for the whole batch.
 	flushNS := flushEnd.UnixNano()
 
-	// Deliver serially in deterministic (deadline, id) order — the same
-	// total order the old collect-then-sort produced, but as a streaming
-	// k-way merge: PopDue hands subscriptions out in (due, id) order and
-	// each one drains its periods in ascending due, so every worker output
-	// lane is already sorted and a cursor heap over the non-empty lanes
-	// restores the global order in O(results · log lanes).
-	if len(s.cur) < len(batch) {
-		s.cur = append(s.cur, make([]int, len(batch)-len(s.cur))...)
-	}
-	cur := s.cur[:len(batch)]
-	s.lanes = s.lanes[:0]
-	for i := range outs {
-		cur[i] = 0
-		if len(outs[i]) > 0 {
-			s.lanes = append(s.lanes, i)
-		}
-	}
-	lanes := s.lanes
-	less := func(a, b int) bool {
-		pa, pb := &outs[a][cur[a]], &outs[b][cur[b]]
-		if pa.due != pb.due {
-			return pa.due < pb.due
-		}
-		return pa.sub.id < pb.sub.id
-	}
-	sift := func(i, n int) {
-		for {
-			min := i
-			if l := 2*i + 1; l < n && less(lanes[l], lanes[min]) {
-				min = l
+	// Deliver serially, lane by lane in PopDue's (due, id) order, each lane
+	// in ascending period order. Lanes are per subscription, so every
+	// subscriber sees its periods in order; the order across subscriptions
+	// is deterministic too (it is the pop order, whatever the worker count),
+	// and only the service-wide span firehose observes it.
+	for _, lane := range outs {
+		for i := range lane {
+			p := &lane[i]
+			if p.expire {
+				s.removeSub(p.sub)
+			} else {
+				p.span.FlushNS = flushNS
+				p.sub.deliver(&p.result, &p.span)
 			}
-			if r := 2*i + 2; r < n && less(lanes[r], lanes[min]) {
-				min = r
-			}
-			if min == i {
-				return
-			}
-			lanes[i], lanes[min] = lanes[min], lanes[i]
-			i = min
 		}
-	}
-	n := len(lanes)
-	for i := n/2 - 1; i >= 0; i-- {
-		sift(i, n)
-	}
-	for n > 0 {
-		l := lanes[0]
-		p := &outs[l][cur[l]]
-		if p.expire {
-			s.removeSub(p.sub)
-		} else {
-			p.span.FlushNS = flushNS
-			p.sub.deliver(&p.result, &p.span)
-		}
-		cur[l]++
-		if cur[l] == len(outs[l]) {
-			lanes[0] = lanes[n-1]
-			n--
-		}
-		sift(0, n)
 	}
 	o.stageDeliver.Observe(time.Since(flushEnd).Nanoseconds())
 	// Zero the pointer-holding scratch so a burst-sized batch doesn't pin

@@ -65,6 +65,8 @@ func TestSubscribeReturnsSpecErrors(t *testing.T) {
 		{Radius: 100, Period: time.Second, Freshness: 2 * time.Second},
 		{Radius: 100, Period: time.Second, Aggregate: AggKind(99)},
 		{Radius: 100, Period: 2 * time.Second, Lifetime: time.Second},
+		{Radius: 100, Period: time.Second, Window: 1 << 40},
+		{Radius: 100, Period: time.Second, Strategy: JITStrategy(), Corridor: CorridorSpec{Lookahead: 1 << 30}},
 	}
 	for i, spec := range bad {
 		if _, err := svc.Subscribe(context.Background(), spec, src); err == nil {
@@ -80,6 +82,37 @@ func TestSubscribeReturnsSpecErrors(t *testing.T) {
 	}
 	if err := svc.Advance(time.Second); err == nil {
 		t.Error("advance on a closed service should be an error")
+	}
+}
+
+// TestQuerySpecValidate pins the bounds on per-subscription state: Window
+// and Corridor.Lookahead are accepted up to their caps and rejected one
+// past them, so a hostile spec cannot size an allocation.
+func TestQuerySpecValidate(t *testing.T) {
+	base := QuerySpec{Radius: 100, Period: time.Second}
+	corridor := func(n int) QuerySpec {
+		q := base
+		q.Strategy = JITStrategy()
+		q.Corridor = CorridorSpec{Lookahead: n}
+		return q
+	}
+	window := func(n int) QuerySpec {
+		q := base
+		q.Window = n
+		return q
+	}
+	for _, q := range []QuerySpec{base, window(maxWindow), corridor(maxCorridorLookahead)} {
+		if err := q.Validate(); err != nil {
+			t.Errorf("%+v rejected: %v", q, err)
+		}
+	}
+	for _, q := range []QuerySpec{
+		window(-1), window(maxWindow + 1), window(1 << 40),
+		corridor(-1), corridor(maxCorridorLookahead + 1), corridor(1 << 30),
+	} {
+		if q.Validate() == nil {
+			t.Errorf("window %d / lookahead %d accepted", q.Window, q.Corridor.Lookahead)
+		}
 	}
 }
 

@@ -70,7 +70,7 @@ func GPSErrorModel(err, threshold, maxSpeed float64, sampling time.Duration) Err
 type CorridorSpec struct {
 	// Lookahead is how many period boundaries ahead the corridor stages.
 	// Zero disables the corridor entirely — the exact pre-corridor
-	// behavior. Requires a prefetching Strategy when positive.
+	// behavior. Requires a prefetching Strategy when positive; at most 32.
 	Lookahead int
 	// ErrorModel bounds the prediction error the corridor absorbs. The
 	// zero model trusts predictions exactly: any deviation of the actual
@@ -78,6 +78,16 @@ type CorridorSpec struct {
 	// by noisy predictors should use GPSErrorModel or a custom bound.
 	ErrorModel ErrorModel
 }
+
+// maxWindow and maxCorridorLookahead bound QuerySpec.Window and
+// Corridor.Lookahead, which size per-subscription state: one slot per
+// lookback period, one node snapshot per staged boundary. Unbounded, one
+// spec exhausts memory (Window 1<<40 kills the process on its first
+// period); every real caller asks for 4 or fewer.
+const (
+	maxWindow            = 256
+	maxCorridorLookahead = 32
+)
 
 // QuerySpec is the streaming form of the paper's spatiotemporal query
 // tuple: one aggregate over a circle around the mobile user, due every
@@ -115,7 +125,8 @@ type QuerySpec struct {
 	// evaluations (each taken at its own boundary position, staleness aged
 	// to the current deadline), with QueryResult.WindowPeriods reporting
 	// how many periods actually contributed (fewer during the first
-	// Window-1 results). 0 or 1 keeps ordinary single-period results.
+	// Window-1 results). 0 or 1 keeps ordinary single-period results; at
+	// most 256.
 	// Requires the on-demand Strategy: a windowed result spans boundaries,
 	// which the per-period prefetch ledger cannot attribute.
 	Window int
@@ -153,12 +164,12 @@ func (q QuerySpec) Validate() error {
 		return fmt.Errorf("mobiquery: lifetime %v must be non-negative", q.Lifetime)
 	case q.Lifetime != 0 && q.Lifetime < q.Period:
 		return fmt.Errorf("mobiquery: lifetime %v shorter than one period %v", q.Lifetime, q.Period)
-	case q.Corridor.Lookahead < 0:
-		return fmt.Errorf("mobiquery: corridor lookahead %d must be non-negative", q.Corridor.Lookahead)
+	case q.Corridor.Lookahead < 0 || q.Corridor.Lookahead > maxCorridorLookahead:
+		return fmt.Errorf("mobiquery: corridor lookahead %d must be in [0, %d]", q.Corridor.Lookahead, maxCorridorLookahead)
 	case q.Corridor.Lookahead > 0 && !q.Strategy.Prefetching():
 		return fmt.Errorf("mobiquery: corridor prefetching needs a prefetching Strategy (JITStrategy/GreedyStrategy)")
-	case q.Window < 0:
-		return fmt.Errorf("mobiquery: window %d must be non-negative", q.Window)
+	case q.Window < 0 || q.Window > maxWindow:
+		return fmt.Errorf("mobiquery: window %d must be in [0, %d]", q.Window, maxWindow)
 	case q.Window > 1 && q.Strategy.Prefetching():
 		return fmt.Errorf("mobiquery: windowed aggregation (Window %d) requires the on-demand Strategy", q.Window)
 	}
@@ -208,8 +219,8 @@ func LinearMotion(start Point, vx, vy float64) MotionSource {
 // stages) from the predictions while its actual positions keep following
 // PositionAt — the paper's Section 6.3 location-error setting, live.
 //
-// The interface is sealed: construct implementations with
-// GPSPredictedMotion.
+// The interface is sealed: construct implementations with PlannedMotion
+// or GPSPredictedMotion.
 type ProfileSource interface {
 	MotionSource
 	// predictedProfiles returns the profile stream in delivery order, all
@@ -243,15 +254,47 @@ type GPSConfig struct {
 	Threshold float64
 }
 
-// gpsMotion is the ProfileSource behind GPSPredictedMotion.
-type gpsMotion struct {
+// courseMotion is the ProfileSource behind PlannedMotion and
+// GPSPredictedMotion: ground truth follows the course, predictions are the
+// profile stream laid over it.
+type courseMotion struct {
 	course   mobility.Course
 	profiles []mobility.TimedProfile
 }
 
-func (g *gpsMotion) PositionAt(t time.Duration) Point { return g.course.PosAt(t) }
+func (m *courseMotion) PositionAt(t time.Duration) Point { return m.course.PosAt(t) }
 
-func (g *gpsMotion) predictedProfiles() []mobility.TimedProfile { return g.profiles }
+func (m *courseMotion) predictedProfiles() []mobility.TimedProfile { return m.profiles }
+
+// newCourse draws the random-direction course a CourseConfig describes.
+func (c CourseConfig) newCourse() (mobility.Course, error) {
+	spec := mobility.CourseSpec{
+		Region:         geom.Square(c.RegionSide),
+		Start:          c.Start,
+		SpeedMin:       c.SpeedMin,
+		SpeedMax:       c.SpeedMax,
+		ChangeInterval: c.ChangeInterval,
+		Duration:       c.Duration,
+	}
+	if err := spec.Validate(); err != nil {
+		return mobility.Course{}, err
+	}
+	return mobility.NewRandomCourse(spec, rand.New(rand.NewSource(c.Seed))), nil
+}
+
+// PlannedMotion returns a ProfileSource whose ground truth follows a
+// random-direction course and whose predictions are exact: the profile of
+// each leg is delivered the instant the leg starts, as a motion planner
+// would issue it. Unlike GPSPredictedMotion with zero error, predictions
+// stay exact through turns, so a corridor with a small ErrorModel never
+// mispredicts. The source is deterministic in course.Seed.
+func PlannedMotion(course CourseConfig) (ProfileSource, error) {
+	c, err := course.newCourse()
+	if err != nil {
+		return nil, err
+	}
+	return &courseMotion{course: c, profiles: mobility.ExactProfiler{Course: c}.Profiles()}, nil
+}
 
 // GPSPredictedMotion returns a ProfileSource whose ground truth follows a
 // random-direction course while its predictions come from a noisy GPS
@@ -261,15 +304,8 @@ func (g *gpsMotion) predictedProfiles() []mobility.TimedProfile { return g.profi
 // predictor (see GPSErrorModel) to exercise spatial prefetching under
 // location error. The source is deterministic in its seeds.
 func GPSPredictedMotion(course CourseConfig, gps GPSConfig) (ProfileSource, error) {
-	spec := mobility.CourseSpec{
-		Region:         geom.Square(course.RegionSide),
-		Start:          course.Start,
-		SpeedMin:       course.SpeedMin,
-		SpeedMax:       course.SpeedMax,
-		ChangeInterval: course.ChangeInterval,
-		Duration:       course.Duration,
-	}
-	if err := spec.Validate(); err != nil {
+	c, err := course.newCourse()
+	if err != nil {
 		return nil, err
 	}
 	if gps.Sampling <= 0 {
@@ -278,7 +314,6 @@ func GPSPredictedMotion(course CourseConfig, gps GPSConfig) (ProfileSource, erro
 	if gps.Error < 0 {
 		return nil, fmt.Errorf("mobiquery: GPS error %v must be non-negative", gps.Error)
 	}
-	c := mobility.NewRandomCourse(spec, rand.New(rand.NewSource(course.Seed)))
 	predictor := mobility.GPSPredictor{
 		Course:    c,
 		Sampling:  gps.Sampling,
@@ -286,7 +321,7 @@ func GPSPredictedMotion(course CourseConfig, gps GPSConfig) (ProfileSource, erro
 		Threshold: gps.Threshold,
 		RNG:       rand.New(rand.NewSource(gps.Seed)),
 	}
-	return &gpsMotion{course: c, profiles: predictor.Profiles()}, nil
+	return &courseMotion{course: c, profiles: predictor.Profiles()}, nil
 }
 
 // shiftProfile translates a profile's course-relative times onto the
@@ -304,19 +339,6 @@ func shiftProfile(p mobility.Profile, t0 time.Duration) mobility.Profile {
 	p.TS += t0
 	p.Generated += t0
 	return p
-}
-
-// bootstrapProfile is the prediction a profile-driven subscription plans
-// from before its predictor's first delivery: the user is assumed to hold
-// the position they subscribed at (the predictor needs a couple of
-// readings before it can do better).
-func bootstrapProfile(p Point, t0 time.Duration) mobility.Profile {
-	return mobility.Profile{
-		Path:      mobility.Stationary(p, t0),
-		TS:        t0,
-		Generated: t0,
-		Version:   0,
-	}
 }
 
 // profileFromSource synthesizes the motion profile a prefetch planner works
@@ -436,12 +458,10 @@ type Subscription struct {
 }
 
 // pendingResult is one evaluated period awaiting delivery (or, with
-// expire set, a subscription whose spec Lifetime ran out at due). Workers
-// produce them in parallel; Advance merges and delivers them serially in
-// (due, id) order.
+// expire set, a subscription whose spec Lifetime ran out). Workers produce
+// them in parallel; Advance delivers them serially, lane by lane.
 type pendingResult struct {
 	sub    *Subscription
-	due    time.Duration
 	result QueryResult
 	expire bool
 	// span is the period's lifecycle record so far (armed → popped →
@@ -505,7 +525,9 @@ func (s *Service) Subscribe(ctx context.Context, spec QuerySpec, src MotionSourc
 					Profile: shiftProfile(tp.Profile, s.now),
 				})
 			}
-			prof = bootstrapProfile(src.PositionAt(0), s.now)
+			// Until the predictor's first delivery the user is assumed to
+			// hold the position they subscribed at.
+			prof = mobility.Profile{Path: mobility.Stationary(src.PositionAt(0), s.now), TS: s.now, Generated: s.now}
 			for sub.nextProfile < len(sub.profiles) && sub.profiles[sub.nextProfile].Deliver <= s.now {
 				prof = sub.profiles[sub.nextProfile].Profile
 				sub.nextProfile++
@@ -614,14 +636,15 @@ func (sub *Subscription) UpdateWaypoint(p Point) error {
 }
 
 // PrefetchStats returns the prefetch planner's ledger, including the
-// corridor cache's hit/mispredict counters when the spec asked for a
-// corridor; ok is false for on-demand subscriptions, which have no
-// planner.
+// chains outstanding at the service's current time and the corridor
+// cache's hit/mispredict counters when the spec asked for a corridor; ok is
+// false for on-demand subscriptions, which have no planner.
 func (sub *Subscription) PrefetchStats() (PrefetchStats, bool) {
 	if sub.planner == nil {
 		return PrefetchStats{}, false
 	}
 	st := sub.planner.Stats()
+	st.Outstanding = sub.planner.Outstanding(sub.svc.Now())
 	if sub.corridor != nil {
 		cs := sub.corridor.Stats()
 		st.CorridorHits = cs.Hits
@@ -671,7 +694,7 @@ func (sub *Subscription) close() {
 // when the spec's Lifetime runs out). It runs on a dispatch worker and
 // touches only this subscription's engine query and session state, so
 // distinct subscriptions evaluate in parallel; delivery happens later, in
-// the merged serial phase. Schedule re-arms go into the worker's private
+// the serial phase. Schedule re-arms go into the worker's private
 // rb — Advance flushes each worker's batch once per stripe after the
 // dispatch, so parallel workers never contend on the schedule locks.
 // poppedNS is the wall time the Advance step's PopDue completed — the
@@ -695,7 +718,7 @@ func (sub *Subscription) collectDue(now time.Duration, poppedNS int64, buf []pen
 		// the period index, so a session whose clock stops exactly at
 		// t0+Lifetime still closes its stream after the final result.
 		if sub.spec.Lifetime > 0 && due > sub.t0+sub.spec.Lifetime {
-			return append(buf, pendingResult{sub: sub, due: due, expire: true})
+			return append(buf, pendingResult{sub: sub, expire: true})
 		}
 		if due > now {
 			return buf
@@ -773,7 +796,7 @@ func (sub *Subscription) collectDue(now time.Duration, poppedNS int64, buf []pen
 			popNS = sub.lastArmedNS
 		}
 		buf = append(buf, pendingResult{
-			sub: sub, due: wr.Due, result: sub.makeResult(wr),
+			sub: sub, result: sub.makeResult(wr),
 			span: obs.PeriodSpan{
 				Trace:       sub.spec.Trace,
 				Span:        sid,
