@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test race figs bench bench-json bench-compare bench-idle-1m serve-smoke slo-compare obs-smoke trace-smoke fmt vet vet-perfbench check
+.PHONY: all build test race figs bench bench-json bench-compare bench-idle-1m bench-eval-0alloc serve-smoke slo-compare obs-smoke trace-smoke fmt vet vet-perfbench check
 
 all: build
 
@@ -58,6 +58,12 @@ bench-compare: bench-json
 # the threshold comparison — is what holds the 0-alloc idle invariant.
 bench-idle-1m:
 	$(GO) test -run=xxx -bench='^BenchmarkAdvance1M$$/^Idle$$' -benchtime=1x .
+
+# The dense-period gate: one pass of BenchmarkEvaluateDueBatch, a cold-route
+# period (~80-node disk) evaluated and re-armed through a reused worker
+# batch, which b.Fatals if the timed loop allocates at all.
+bench-eval-0alloc:
+	$(GO) test -run=xxx -bench='^BenchmarkEvaluateDueBatch$$' -benchtime=1x ./internal/core
 
 # Build the network front-end and drive it with a short seeded workload;
 # writes the SLO_pr.json artifact CI uploads and slo-compare gates,
@@ -121,4 +127,4 @@ vet-perfbench:
 # serve-smoke is a prerequisite of slo-compare, obs-smoke, and
 # trace-smoke; make runs it once per invocation, so check drives one
 # smoke run and gates all three artifacts off it.
-check: build fmt vet vet-perfbench test race figs bench-compare slo-compare obs-smoke trace-smoke
+check: build fmt vet vet-perfbench test race figs bench-compare bench-eval-0alloc slo-compare obs-smoke trace-smoke

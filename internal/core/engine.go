@@ -269,40 +269,60 @@ type rearmEntry struct {
 	due sim.Time
 }
 
-// RearmBatch collects deferred schedule re-arms, bucketed by schedule
-// stripe. EvaluateDueBatch appends to it instead of taking the schedule
-// lock per query; FlushRearms then takes each touched stripe's lock exactly
-// once. One batch belongs to one worker at a time (it is not synchronized);
-// create per-worker batches with NewRearmBatch and reuse them across
+// WorkerBatch is one dispatch worker's private batch: the schedule re-arms
+// its evaluations defer, bucketed by schedule stripe, and the scratch every
+// windowed evaluation through it fills. EvaluateDueBatch appends re-arms
+// instead of taking the schedule lock per query; FlushRearms then takes
+// each touched stripe's lock exactly once. The scratch — the in-area hit
+// buffer, its sort keys and the contributor-id buffer WindowResult.Nodes
+// aliases — is shared by every query the worker evaluates, so a period
+// writes into memory the worker's previous period left hot in cache, and a
+// freshly registered query's first period allocates nothing.
+//
+// One batch belongs to one worker at a time (it is not synchronized);
+// create per-worker batches with NewWorkerBatch and reuse them across
 // Advance steps — a flushed batch is empty and allocation-free to refill.
-type RearmBatch struct {
+type WorkerBatch struct {
 	byStripe [][]rearmEntry
+	// scan is the current windowed evaluation's collection state and visit
+	// its visitor, bound once here so handing it to the grid or a corridor
+	// warmer costs no allocation per period. nodes is the contributor-id
+	// buffer.
+	scan  windowScan
+	visit func(id int32, pos geom.Point)
+	nodes []radio.NodeID
 }
 
-// NewRearmBatch returns an empty re-arm batch sized for e's scheduler.
-func (e *QueryEngine) NewRearmBatch() *RearmBatch {
-	return &RearmBatch{byStripe: make([][]rearmEntry, e.sched.StripeCount())}
+// NewWorkerBatch returns an empty worker batch sized for e's scheduler and
+// bound to e's sampling schedule.
+func (e *QueryEngine) NewWorkerBatch() *WorkerBatch {
+	b := &WorkerBatch{byStripe: make([][]rearmEntry, e.sched.StripeCount())}
+	b.scan.sampler = e.cfg.Sampler
+	b.visit = b.scan.add
+	return b
 }
 
 // add records q's next boundary. Consecutive re-arms of the same query
 // coalesce: when a driver drains several due periods of one query in a row,
 // only the final boundary needs to reach the schedule.
-func (rb *RearmBatch) add(q *liveQuery, due sim.Time, stripe int) {
-	b := rb.byStripe[stripe]
-	if n := len(b); n > 0 && b[n-1].q == q {
-		b[n-1].due = due
+func (b *WorkerBatch) add(q *liveQuery, due sim.Time, stripe int) {
+	bucket := b.byStripe[stripe]
+	if n := len(bucket); n > 0 && bucket[n-1].q == q {
+		bucket[n-1].due = due
 		return
 	}
-	rb.byStripe[stripe] = append(b, rearmEntry{q: q, due: due})
+	b.byStripe[stripe] = append(bucket, rearmEntry{q: q, due: due})
 }
 
-// FlushRearms applies every deferred re-arm in rb to the schedule, one
-// stripe lock hold per touched stripe, and resets rb for reuse. Queries
-// deregistered since their evaluation are skipped (see liveQuery.dead);
-// the ordering argument for why a racing Deregister can never leave a
-// resurrected entry is on Deregister.
-func (e *QueryEngine) FlushRearms(rb *RearmBatch) {
-	for i, bucket := range rb.byStripe {
+// FlushRearms applies every deferred re-arm in b to the schedule, one
+// stripe lock hold per touched stripe, and resets b's re-arms for reuse.
+// Queries deregistered since their evaluation are skipped (see
+// liveQuery.dead); the ordering argument for why a racing Deregister can
+// never leave a resurrected entry is on Deregister. A re-arm never moves a
+// query's entry earlier, so batches holding different periods of one query
+// may be flushed in any order.
+func (e *QueryEngine) FlushRearms(b *WorkerBatch) {
+	for i, bucket := range b.byStripe {
 		if len(bucket) == 0 {
 			continue
 		}
@@ -310,7 +330,7 @@ func (e *QueryEngine) FlushRearms(rb *RearmBatch) {
 		st.mu.Lock()
 		for _, en := range bucket {
 			if !en.q.dead.Load() {
-				st.upsert(en.q.id, en.due)
+				st.rearm(en.q.id, en.due)
 			}
 		}
 		st.publishHead()
@@ -318,13 +338,15 @@ func (e *QueryEngine) FlushRearms(rb *RearmBatch) {
 		// Zero the liveQuery pointers so a burst-sized batch doesn't pin
 		// closed queries for the batch's (service-long) lifetime.
 		clear(bucket)
-		rb.byStripe[i] = bucket[:0]
+		b.byStripe[i] = bucket[:0]
 	}
 }
 
-// UpdateWaypoint moves a user's query center (the user walked). It reports
-// whether the query is registered. Updates for distinct users never
-// contend, and evaluation in flight sees either the old or the new point.
+// UpdateWaypoint moves a user's query center (the user walked) for the
+// instantaneous path (Evaluate, EvaluateAll). It reports whether the query
+// is registered. Updates for distinct users never contend, and evaluation
+// in flight sees either the old or the new point. Temporal queries take
+// each period's center as an EvaluateDueBatch argument instead.
 func (e *QueryEngine) UpdateWaypoint(queryID uint32, pos geom.Point) bool {
 	st := e.stripe(queryID)
 	st.mu.RLock()
@@ -365,15 +387,32 @@ type areaHit struct {
 	prefetched bool
 }
 
-// hitsByID orders collected hits by node id so Nodes, Contribs, and float
-// accumulation order are deterministic regardless of shard layout and
-// insertion interleaving.
-func hitsByID(a, b areaHit) int { return cmp.Compare(a.id, b.id) }
+// hitSet collects one evaluation's in-area hits and orders them by node id,
+// so Nodes, Contribs and float accumulation order are deterministic
+// whatever the shard layout or visit interleaving. add stores beside each
+// hit an integer key: the id with its sign bit flipped (so unsigned order
+// is int32 order) in the high word, the hit's index in the low word.
+// Sorting those keys is much cheaper than a comparison sort of the hits,
+// and after sort, hits[uint32(keys[i])] is the i-th hit in ascending id
+// order.
+type hitSet struct {
+	hits []areaHit
+	keys []uint64
+}
+
+func (s *hitSet) reset() { s.hits, s.keys = s.hits[:0], s.keys[:0] }
+
+func (s *hitSet) add(h areaHit) {
+	s.keys = append(s.keys, uint64(uint32(h.id)^1<<31)<<32|uint64(len(s.hits)))
+	s.hits = append(s.hits, h)
+}
+
+func (s *hitSet) sort() { slices.Sort(s.keys) }
 
 // hitPool recycles the per-evaluation hit scratch: EvaluateAll over
-// thousands of users would otherwise grow-and-discard one slice per user
-// per sweep.
-var hitPool = sync.Pool{New: func() any { return new([]areaHit) }}
+// thousands of users would otherwise grow-and-discard one set per user per
+// sweep.
+var hitPool = sync.Pool{New: func() any { return new(hitSet) }}
 
 // evaluate computes one query's area result at virtual time at. Pure with
 // respect to engine state: it only reads immutable bucket snapshots and the
@@ -381,19 +420,19 @@ var hitPool = sync.Pool{New: func() any { return new([]areaHit) }}
 func (e *QueryEngine) evaluate(q *liveQuery, at sim.Time) AreaResult {
 	center := *q.pos.Load()
 	res := AreaResult{QueryID: q.id, Center: center, Radius: q.radius, Data: NewPartial()}
-	scratch := hitPool.Get().(*[]areaHit)
-	hits := (*scratch)[:0]
+	hs := hitPool.Get().(*hitSet)
+	hs.reset()
 	e.grid.VisitWithin(center, q.radius, func(id int32, pos geom.Point) {
-		hits = append(hits, areaHit{id: id, pos: pos})
+		hs.add(areaHit{id: id, pos: pos})
 	})
-	slices.SortFunc(hits, hitsByID)
-	res.Nodes = make([]radio.NodeID, 0, len(hits))
-	for _, h := range hits {
+	hs.sort()
+	res.Nodes = make([]radio.NodeID, 0, len(hs.keys))
+	for _, k := range hs.keys {
+		h := &hs.hits[uint32(k)]
 		res.Nodes = append(res.Nodes, radio.NodeID(h.id))
 		res.Data.AddReading(radio.NodeID(h.id), e.fld.Sample(h.pos, at))
 	}
-	*scratch = hits
-	hitPool.Put(scratch)
+	hitPool.Put(hs)
 	return res
 }
 
@@ -456,7 +495,7 @@ func (e *QueryEngine) Dispatch(n int, fn func(i int)) {
 
 // DispatchWorkers is Dispatch with the worker's index (0..Workers-1) passed
 // to fn alongside the work index, so callers can hand each worker private
-// scratch (a RearmBatch, an output lane) without synchronization. Which
+// scratch (a WorkerBatch, an output lane) without synchronization. Which
 // worker runs which index is nondeterministic; with one worker (or n<2)
 // every call runs serially on worker 0.
 func (e *QueryEngine) DispatchWorkers(n int, fn func(worker, i int)) {

@@ -319,6 +319,21 @@ func (st *scheduleStripe) publishHead() {
 	st.head.Store(int64(st.heap[0].Due))
 }
 
+// rearm is upsert for a deferred re-arm, which never moves an existing
+// entry earlier. A query's boundaries only advance, and an entry FlushRearms
+// finds for a live query is that query's own (see Deregister), so a later
+// entry was set by the flush of a later period: concurrent evaluations of
+// one query into different batches may flush out of order, and letting the
+// earlier boundary win would leave the query scheduled behind a period it
+// has already evaluated — a pop there finds nothing due and drops it from
+// the schedule for good. Caller holds st.mu.
+func (st *scheduleStripe) rearm(id uint32, due sim.Time) {
+	if i, ok := st.pos[id]; ok && st.heap[i].Due >= due {
+		return
+	}
+	st.upsert(id, due)
+}
+
 // upsert schedules (or reschedules) id at due within this stripe. Caller
 // holds st.mu and republishes the head afterwards — batched re-arms upsert
 // many entries under one lock hold and publish once.

@@ -178,13 +178,6 @@ type temporalState struct {
 	hasReading  bool
 	evaluated   int
 	late        int
-	// scan is the window evaluation's per-node collection state and visit
-	// its visitor, bound once at registration so handing it to a corridor
-	// warmer costs no allocation per period. nodes is the contributor-id
-	// buffer; it and scan.hits are reused across this query's periods.
-	scan  windowScan
-	visit func(id int32, pos geom.Point)
-	nodes []radio.NodeID
 	// winRing holds the last spec.Window single-period evaluations of a
 	// windowed query (allocated on first use, entries reused in place);
 	// winNext/winLen are the ring cursor and fill.
@@ -196,8 +189,8 @@ type temporalState struct {
 // windowScan collects one windowed evaluation's in-area nodes: each is
 // freshness-windowed against its reading — the plan's capture inside the
 // pickup circle, else the engine's sampling schedule — and kept as a hit
-// or counted stale. sampler and fresh are fixed at registration; the rest
-// is reset per period.
+// or counted stale. It lives in a WorkerBatch: sampler is the engine's,
+// fixed when the batch is made; the rest is reset per evaluation.
 type windowScan struct {
 	sampler Sampler
 	fresh   time.Duration
@@ -205,7 +198,7 @@ type windowScan struct {
 	plan    PlannedPeriod
 	area    int
 	stale   int
-	hits    []areaHit
+	hits    hitSet
 }
 
 func (s *windowScan) add(id int32, pos geom.Point) {
@@ -221,7 +214,7 @@ func (s *windowScan) add(id int32, pos geom.Point) {
 		s.stale++
 		return
 	}
-	s.hits = append(s.hits, areaHit{id: id, pos: pos, sample: sample, prefetched: prefetched})
+	s.hits.add(areaHit{id: id, pos: pos, sample: sample, prefetched: prefetched})
 }
 
 // windowPeriod is one single-period evaluation retained for N-period
@@ -255,9 +248,10 @@ type TemporalStats struct {
 // counted but excluded from the aggregate. Contributor ids are listed in
 // Nodes only: Data.Contribs stays nil on the streaming path.
 //
-// Nodes aliases a per-query scratch buffer: it is valid until the same
-// query's next evaluation, which reuses the storage. Callers that keep
-// contributor ids across periods must copy them.
+// Nodes aliases the scratch of the WorkerBatch the evaluation ran through:
+// it is valid until the next evaluation through that batch, of any query,
+// which reuses the storage. Callers that keep contributor ids past that
+// must copy them.
 type WindowResult struct {
 	AreaResult
 	// K is the 1-based period index; the result was due at Due and
@@ -323,10 +317,7 @@ func (e *QueryEngine) RegisterTemporalE(queryID uint32, radius float64, pos geom
 	if err := route.validate(); err != nil {
 		return err
 	}
-	t := &temporalState{spec: spec, t0: t0, route: route, nextK: 1}
-	t.scan.sampler, t.scan.fresh = e.cfg.Sampler, spec.Fresh
-	t.visit = t.scan.add
-	return e.register(queryID, radius, pos, t)
+	return e.register(queryID, radius, pos, &temporalState{spec: spec, t0: t0, route: route, nextK: 1})
 }
 
 // temporal returns the query and its temporal state, or nil if the query
@@ -357,23 +348,27 @@ func (e *QueryEngine) NextDue(queryID uint32) (k int, due sim.Time, ok bool) {
 }
 
 // EvaluateDueBatch evaluates the next period of a temporal query if its
-// boundary has been reached by now, deferring the query's schedule re-arm
-// into rb. It returns ok=false when the query is unknown, has no temporal
-// contract, or its next period is not yet due. The result is computed as
-// of the period boundary — waypoint read at call time, readings as-of the
+// boundary has been reached by now, centered at center — the user's
+// position at that boundary (NextDue reports which boundary that is) — and defers
+// the query's schedule re-arm into b. It returns ok=false when the query
+// is unknown, has no temporal contract, or its next period is not yet due.
+// The result is computed as of the period boundary — readings as-of the
 // boundary, freshness measured against it — while lateness compares now
 // against the boundary plus the deadline slack. Calls for distinct queries
 // proceed in parallel; calls for one query are serialized and advance its
 // period counter exactly once each.
 //
+// The evaluation fills b's scratch, so the result's Nodes is valid only
+// until the next evaluation through b (see WindowResult).
+//
 // A clock driver pops the due queries (PopDue), drains each on a dispatch
-// worker into that worker's RearmBatch, and flushes every batch with
+// worker into that worker's WorkerBatch, and flushes every batch with
 // FlushRearms, which takes each schedule stripe lock once. Between the
 // evaluation and the flush the query is absent from the schedule; NextDue
 // (computed from temporal state, not the schedule) still reports the
-// following boundary, so drain loops are unaffected. rb must be flushed
+// following boundary, so drain loops are unaffected. b must be flushed
 // before the next PopDue that should see these boundaries.
-func (e *QueryEngine) EvaluateDueBatch(queryID uint32, now sim.Time, rb *RearmBatch) (WindowResult, bool) {
+func (e *QueryEngine) EvaluateDueBatch(queryID uint32, center geom.Point, now sim.Time, b *WorkerBatch) (WindowResult, bool) {
 	q := e.temporal(queryID)
 	if q == nil {
 		return WindowResult{}, false
@@ -385,7 +380,7 @@ func (e *QueryEngine) EvaluateDueBatch(queryID uint32, now sim.Time, rb *RearmBa
 	if due > now {
 		return WindowResult{}, false
 	}
-	res, pp := e.evaluateWindow(q, due)
+	res, pp := e.evaluateWindow(q, center, due, b)
 	res.K = t.nextK
 	res.Due = due
 	res.EvaluatedAt = now
@@ -422,7 +417,7 @@ func (e *QueryEngine) EvaluateDueBatch(queryID uint32, now sim.Time, rb *RearmBa
 	// Record the next boundary; FlushRearms applies it under the schedule
 	// stripe lock, skipping queries whose dead flag a Deregister set in
 	// the meantime.
-	rb.add(q, t.t0+sim.Time(t.nextK)*t.spec.Period, e.sched.stripeIndex(q.id))
+	b.add(q, t.t0+sim.Time(t.nextK)*t.spec.Period, e.sched.stripeIndex(q.id))
 	return res, true
 }
 
@@ -445,16 +440,15 @@ func (e *QueryEngine) Stats(queryID uint32) (TemporalStats, bool) {
 	}, true
 }
 
-// evaluateWindow computes the freshness-windowed area result of q as of
-// the period boundary `due`, choosing the node source once from the
-// query's route: the aggregate index's whole-disk answer, a corridor
-// warmer's staged snapshot, or the grid radius scan — the fallback of
-// both, bit-identical by their contracts. It also returns the plan's view
+// evaluateWindow computes the freshness-windowed area result of q around
+// center as of the period boundary `due`, in b's scratch, choosing the
+// node source once from the query's route: the aggregate index's
+// whole-disk answer, a corridor warmer's staged snapshot, or the grid
+// radius scan — the fallback of both, bit-identical by their contracts. It also returns the plan's view
 // of the period (zero without a plan) for the caller's deadline credit.
 // Caller holds q.tmu.
-func (e *QueryEngine) evaluateWindow(q *liveQuery, due sim.Time) (WindowResult, PlannedPeriod) {
+func (e *QueryEngine) evaluateWindow(q *liveQuery, center geom.Point, due sim.Time, b *WorkerBatch) (WindowResult, PlannedPeriod) {
 	t := q.temporal
-	center := *q.pos.Load()
 	out := WindowResult{
 		AreaResult: AreaResult{QueryID: q.id, Center: center, Radius: q.radius, Data: NewPartial()},
 	}
@@ -471,19 +465,20 @@ func (e *QueryEngine) evaluateWindow(q *liveQuery, due sim.Time) (WindowResult, 
 			return out, PlannedPeriod{}
 		}
 	}
-	sc := &t.scan
-	sc.due, sc.plan, sc.area, sc.stale, sc.hits = due, PlannedPeriod{}, 0, 0, sc.hits[:0]
+	sc := &b.scan
+	sc.fresh, sc.due, sc.plan, sc.area, sc.stale = t.spec.Fresh, due, PlannedPeriod{}, 0, 0
+	sc.hits.reset()
 	if r.Plan != nil {
 		sc.plan = r.Plan.PlanPeriod(due)
 		out.Class = obs.ClassPlanned
 	}
-	if r.Warmer != nil && r.Warmer.VisitStaged(due, center, q.radius, t.visit) {
+	if r.Warmer != nil && r.Warmer.VisitStaged(due, center, q.radius, b.visit) {
 		out.Class = obs.ClassCorridor
 	} else {
-		e.grid.VisitWithin(center, q.radius, t.visit)
+		e.grid.VisitWithin(center, q.radius, b.visit)
 	}
 	out.AreaNodes, out.StaleNodes = sc.area, sc.stale
-	e.finishWindow(t, &out, due)
+	e.finishWindow(t, b, &out, due)
 	return out, sc.plan
 }
 
@@ -540,17 +535,18 @@ func (t *temporalState) mergeWindow(cur WindowResult) WindowResult {
 	return out
 }
 
-// finishWindow sorts the scan's hits and folds them into the result,
-// reusing the query's scratch buffers. Caller holds the owning query's tmu.
-func (e *QueryEngine) finishWindow(t *temporalState, out *WindowResult, due sim.Time) {
-	// Sort by id so Nodes and float accumulation order are deterministic
-	// regardless of shard layout, exactly as the instantaneous path does.
-	hits := t.scan.hits
-	slices.SortFunc(hits, hitsByID)
-	// One Grow on the first period instead of append doubling; every later
-	// period of this query reuses the buffer allocation-free.
-	out.Nodes = slices.Grow(t.nodes[:0], len(hits))
-	for _, h := range hits {
+// finishWindow orders b's scanned hits by id, exactly as the instantaneous
+// path does, and folds them into the result, reusing b's contributor-id
+// buffer. Caller holds the owning query's tmu.
+func (e *QueryEngine) finishWindow(t *temporalState, b *WorkerBatch, out *WindowResult, due sim.Time) {
+	hs := &b.scan.hits
+	hs.sort()
+	// One Grow when the batch meets a larger area than before instead of
+	// append doubling; every other evaluation reuses the buffer
+	// allocation-free.
+	out.Nodes = slices.Grow(b.nodes[:0], len(hs.keys))
+	for _, k := range hs.keys {
+		h := &hs.hits[uint32(k)]
 		out.Nodes = append(out.Nodes, radio.NodeID(h.id))
 		out.Data.addValue(e.fld.Sample(h.pos, h.sample))
 		if h.prefetched {
@@ -564,5 +560,5 @@ func (e *QueryEngine) finishWindow(t *temporalState, out *WindowResult, due sim.
 			t.hasReading = true
 		}
 	}
-	t.nodes = out.Nodes
+	b.nodes = out.Nodes
 }

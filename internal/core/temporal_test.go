@@ -12,12 +12,18 @@ import (
 )
 
 // EvaluateDue drives one query the way a clock driver does, for tests that
-// step queries individually: EvaluateDueBatch into a private batch, then
-// FlushRearms, so the schedule is re-armed before it returns.
+// step queries individually: EvaluateDueBatch at the query's registered
+// waypoint into a private batch, then FlushRearms, so the schedule is
+// re-armed before it returns. Each call has its own batch, so results'
+// Nodes never alias one another.
 func (e *QueryEngine) EvaluateDue(queryID uint32, now sim.Time) (WindowResult, bool) {
-	rb := e.NewRearmBatch()
-	res, ok := e.EvaluateDueBatch(queryID, now, rb)
-	e.FlushRearms(rb)
+	var pos geom.Point
+	if q := e.temporal(queryID); q != nil {
+		pos = *q.pos.Load()
+	}
+	b := e.NewWorkerBatch()
+	res, ok := e.EvaluateDueBatch(queryID, pos, now, b)
+	e.FlushRearms(b)
 	return res, ok
 }
 
@@ -358,25 +364,35 @@ func TestCorridorWarmerServesStagedBoundaries(t *testing.T) {
 }
 
 // TestWindowResultNodesReused pins the contributor-buffer contract: Nodes
-// aliases a per-query scratch reused by the next EvaluateDue of the same
-// query, so dense streaming allocates no fresh id slice per period.
+// aliases the scratch of the batch the evaluation ran through, reused by
+// the next evaluation through that batch whatever the query, so dense
+// streaming allocates no id slice per period or per subscriber.
 func TestWindowResultNodesReused(t *testing.T) {
 	e := temporalEngine(t)
-	spec := TemporalSpec{Period: time.Second, Fresh: 10 * time.Second}
-	if err := e.RegisterTemporalE(1, 100, geom.Pt(0, 0), spec, 0, Route{}); err != nil {
-		t.Fatal(err)
+	spec := TemporalSpec{Period: 2 * time.Second, Fresh: 10 * time.Second}
+	for id := uint32(1); id <= 2; id++ {
+		if err := e.RegisterTemporalE(id, 100, geom.Pt(0, 0), spec, 0, Route{}); err != nil {
+			t.Fatal(err)
+		}
 	}
-	first, ok := e.EvaluateDue(1, 2*time.Second)
-	if !ok || len(first.Nodes) == 0 {
-		t.Fatalf("first period: ok %v, %d nodes", ok, len(first.Nodes))
+	b := e.NewWorkerBatch()
+	first, ok := e.EvaluateDueBatch(1, geom.Pt(0, 0), 2*time.Second, b)
+	if !ok || len(first.Nodes) != 2 {
+		t.Fatalf("query 1: ok %v, nodes %v, want [0 1]", ok, first.Nodes)
 	}
-	second, ok := e.EvaluateDue(1, 2*time.Second)
-	if !ok || len(second.Nodes) == 0 {
-		t.Fatalf("second period: ok %v, %d nodes", ok, len(second.Nodes))
+	// Query 2 sits where node 1 is its only fresh in-area node: its single
+	// contributor overwrites query 1's first id in the shared buffer.
+	second, ok := e.EvaluateDueBatch(2, geom.Pt(115, 0), 2*time.Second, b)
+	if !ok || len(second.Nodes) != 1 || second.Nodes[0] != 1 {
+		t.Fatalf("query 2: ok %v, nodes %v, want [1]", ok, second.Nodes)
 	}
 	if &first.Nodes[0] != &second.Nodes[0] {
-		t.Error("consecutive periods did not reuse the contributor buffer")
+		t.Error("evaluations through one batch did not reuse its contributor buffer")
 	}
+	if first.Nodes[0] != 1 {
+		t.Errorf("query 1's Nodes = %v after query 2's evaluation; want it overwritten to start with 1", first.Nodes)
+	}
+	e.FlushRearms(b)
 }
 
 // TestEvaluateDueCreditsStagedPeriods pins the plan hook in the deadline

@@ -295,13 +295,13 @@ func runPyramidPass(cfg PyramidConfig, arm pyramidArm, region geom.Rect,
 
 	// The engine is driven the way Service.Advance drives it: per tick,
 	// pop every query due by t in (due, id) order, drain each one's due
-	// boundaries on a dispatch worker into that worker's re-arm batch, and
-	// flush the batches once the dispatch completes. Each user's evaluation
+	// boundaries on a dispatch worker in that worker's batch, and flush the
+	// batches once the dispatch completes. Each user's evaluation
 	// depends only on the shared field and their own course; epoch ingest
 	// is cooperative, so the fan-out cannot change results.
-	rearms := make([]*core.RearmBatch, eng.Workers())
-	for i := range rearms {
-		rearms[i] = eng.NewRearmBatch()
+	batches := make([]*core.WorkerBatch, eng.Workers())
+	for i := range batches {
+		batches[i] = eng.NewWorkerBatch()
 	}
 	var due []core.DueEntry
 	for t := cfg.Tick; t <= cfg.Duration; t += cfg.Tick {
@@ -317,8 +317,7 @@ func runPyramidPass(cfg PyramidConfig, arm pyramidArm, region geom.Rect,
 				if pyr != nil {
 					pyr.EnsureEpoch(nextDue)
 				}
-				eng.UpdateWaypoint(id, u.course.PosAt(nextDue))
-				wr, ok := eng.EvaluateDueBatch(id, t, rearms[worker])
+				wr, ok := eng.EvaluateDueBatch(id, u.course.PosAt(nextDue), t, batches[worker])
 				if !ok {
 					return
 				}
@@ -344,8 +343,8 @@ func runPyramidPass(cfg PyramidConfig, arm pyramidArm, region geom.Rect,
 				}
 			}
 		})
-		for _, rb := range rearms {
-			eng.FlushRearms(rb)
+		for _, b := range batches {
+			eng.FlushRearms(b)
 		}
 	}
 

@@ -30,6 +30,9 @@
 //	POST /v1/advance                     manual-clock servers only: move
 //	                                     the virtual clock (tests, smoke)
 //
+// The subscribe and advance bodies are capped at 64 KiB; a larger one is
+// answered 413 Request Entity Too Large.
+//
 // A subscribe stream ends when the subscription does (Lifetime, service
 // drain/close) — the end frame carries the final delivery ledger — or
 // when the client disconnects, which tears the subscription down
@@ -37,6 +40,8 @@
 package server
 
 import (
+	"errors"
+	"fmt"
 	"net/http"
 	"strconv"
 	"sync"
@@ -193,12 +198,34 @@ func (s *Server) handleFirehose(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
+// maxRequestBody caps the /v1/subscribe and /v1/advance request bodies.
+// Each is one small JSON object — a spec and a motion, or a clock step —
+// well under 1 KiB, so 64 KiB is ample while keeping a hostile body from
+// growing the decoder's buffer without bound.
+const maxRequestBody = 64 << 10
+
+// decodeRequest decodes r's one-object body into v, reading at most
+// maxRequestBody bytes. On failure it writes the error response — 413 for
+// an oversized body, 400 for a malformed one — and reports false.
+func decodeRequest(w http.ResponseWriter, r *http.Request, what string, v any) bool {
+	err := wire.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBody)).Decode(v)
+	if err == nil {
+		return true
+	}
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		http.Error(w, fmt.Sprintf("wire: %s request body exceeds %d bytes", what, tooBig.Limit), http.StatusRequestEntityTooLarge)
+	} else {
+		http.Error(w, "wire: bad "+what+" request: "+err.Error(), http.StatusBadRequest)
+	}
+	return false
+}
+
 // handleSubscribe opens a subscription from the request body and streams
 // its results until the subscription or the client goes away.
 func (s *Server) handleSubscribe(w http.ResponseWriter, r *http.Request) {
 	var req wire.SubscribeRequest
-	if err := wire.NewDecoder(r.Body).Decode(&req); err != nil {
-		http.Error(w, "wire: bad subscribe request: "+err.Error(), http.StatusBadRequest)
+	if !decodeRequest(w, r, "subscribe", &req) {
 		return
 	}
 	spec, err := req.Spec.QuerySpec()
@@ -304,8 +331,7 @@ func (s *Server) handleSubStats(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleAdvance(w http.ResponseWriter, r *http.Request) {
 	var req wire.AdvanceRequest
-	if err := wire.NewDecoder(r.Body).Decode(&req); err != nil {
-		http.Error(w, "wire: bad advance request: "+err.Error(), http.StatusBadRequest)
+	if !decodeRequest(w, r, "advance", &req) {
 		return
 	}
 	if err := s.svc.Advance(time.Duration(req.DNS)); err != nil {

@@ -382,6 +382,32 @@ func TestBadRequestsAreClientErrors(t *testing.T) {
 	}
 }
 
+// TestOversizedBodiesAreRejected pins the request-body cap: a subscribe or
+// advance body past maxRequestBody is answered 413 without being read to
+// its end, while a padded body just under the cap is still served.
+func TestOversizedBodiesAreRejected(t *testing.T) {
+	h := newHarness(t, mobiquery.ServiceConfig{})
+	pad := strings.Repeat("x", maxRequestBody)
+	cases := []struct {
+		path, body string
+		want       int
+	}{
+		{"/v1/subscribe", `{"spec":{"radius_m":100,"period_ns":1000000000},"motion":{"kind":"static"},"pad":"` + pad + `"}`, http.StatusRequestEntityTooLarge},
+		{"/v1/advance", `{"d_ns":1000000000,"pad":"` + pad + `"}`, http.StatusRequestEntityTooLarge},
+		{"/v1/advance", strings.Repeat(" ", maxRequestBody-100) + `{"d_ns":1000000000}`, http.StatusOK},
+	}
+	for _, tc := range cases {
+		resp, err := http.Post(h.ts.URL+tc.path, "application/json", strings.NewReader(tc.body))
+		if err != nil {
+			t.Fatalf("post %s: %v", tc.path, err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != tc.want {
+			t.Errorf("%s with a %d-byte body: status %d, want %d", tc.path, len(tc.body), resp.StatusCode, tc.want)
+		}
+	}
+}
+
 func TestDrainRejectsNewSubscribesKeepsStreams(t *testing.T) {
 	h := newHarness(t, mobiquery.ServiceConfig{})
 	req := wire.SubscribeRequest{Spec: testSpec(), Motion: wire.Motion{Kind: "static", XM: 225, YM: 225}}

@@ -202,13 +202,13 @@ type Service struct {
 	// advMu serializes Advance calls (the clock moves one step at a time)
 	// and guards the scratch buffers below, which are reused across steps
 	// so a steady-state Advance allocates nothing on the scheduling path.
-	// rearms holds one schedule re-arm batch per dispatch worker (created
-	// on the first non-empty step).
-	advMu  sync.Mutex
-	due    []core.DueEntry
-	batch  []*Subscription
-	outs   [][]pendingResult
-	rearms []*core.RearmBatch
+	// batches holds one WorkerBatch (schedule re-arms plus evaluation
+	// scratch) per dispatch worker, created on the first non-empty step.
+	advMu   sync.Mutex
+	due     []core.DueEntry
+	batch   []*Subscription
+	outs    [][]pendingResult
+	batches []*core.WorkerBatch
 }
 
 // Open stands up a Service over the configured sensor field. Configuration
@@ -526,29 +526,30 @@ func (s *Service) Advance(d time.Duration) error {
 	s.mu.RUnlock()
 
 	// Fan the due subscriptions across the worker pool. Each worker drains
-	// every period of its subscription due by now into a private buffer and
-	// accumulates its schedule re-arms in a private batch; subscriptions
-	// are independent, so the fan-out cannot change results.
+	// every period of its subscription due by now into a private buffer,
+	// evaluating in its private batch's scratch and accumulating its
+	// schedule re-arms there; subscriptions are independent, so the
+	// fan-out cannot change results.
 	if len(s.outs) < len(s.batch) {
 		s.outs = append(s.outs, make([][]pendingResult, len(s.batch)-len(s.outs))...)
 	}
-	if s.rearms == nil {
-		s.rearms = make([]*core.RearmBatch, s.engine.Workers())
-		for i := range s.rearms {
-			s.rearms[i] = s.engine.NewRearmBatch()
+	if s.batches == nil {
+		s.batches = make([]*core.WorkerBatch, s.engine.Workers())
+		for i := range s.batches {
+			s.batches[i] = s.engine.NewWorkerBatch()
 		}
 	}
 	outs, batch := s.outs[:len(s.batch)], s.batch
-	rearms := s.rearms
+	batches := s.batches
 	s.engine.DispatchWorkers(len(batch), func(worker, i int) {
-		outs[i] = batch[i].collectDue(now, poppedNS, outs[i][:0], rearms[worker])
+		outs[i] = batch[i].collectDue(now, poppedNS, outs[i][:0], batches[worker])
 	})
 	evalEnd := time.Now()
 	o.stageEval.Observe(evalEnd.Sub(popEnd).Nanoseconds())
 	// Flush the workers' deferred re-arms, one schedule stripe lock hold
 	// per stripe per worker, so the next PopDue sees every next boundary.
-	for _, rb := range rearms {
-		s.engine.FlushRearms(rb)
+	for _, b := range batches {
+		s.engine.FlushRearms(b)
 	}
 	flushEnd := time.Now()
 	o.stageFlush.Observe(flushEnd.Sub(evalEnd).Nanoseconds())

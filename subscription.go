@@ -624,7 +624,6 @@ func (sub *Subscription) UpdateWaypoint(p Point) error {
 	sub.manual = &p
 	sub.manualAt = now
 	sub.mu.Unlock()
-	sub.svc.engine.UpdateWaypoint(sub.id, p)
 	if sub.planner != nil {
 		prof := waypointProfile(p, prev, prevAt, sub.src, sub.t0, now, sub.spec.Period)
 		sub.planner.Replan(prof, now)
@@ -694,14 +693,15 @@ func (sub *Subscription) close() {
 // when the spec's Lifetime runs out). It runs on a dispatch worker and
 // touches only this subscription's engine query and session state, so
 // distinct subscriptions evaluate in parallel; delivery happens later, in
-// the serial phase. Schedule re-arms go into the worker's private
-// rb — Advance flushes each worker's batch once per stripe after the
-// dispatch, so parallel workers never contend on the schedule locks.
+// the serial phase. Evaluations run in the worker's private batch b, and
+// schedule re-arms go into it — Advance flushes each worker's batch once
+// per stripe after the dispatch, so parallel workers never contend on the
+// schedule locks.
 // poppedNS is the wall time the Advance step's PopDue completed — the
 // popped stamp shared by the first span of each subscription in the
 // batch; catch-up periods armed mid-drain stamp their own arming instant
 // instead, keeping every span chain monotone.
-func (sub *Subscription) collectDue(now time.Duration, poppedNS int64, buf []pendingResult, rb *core.RearmBatch) []pendingResult {
+func (sub *Subscription) collectDue(now time.Duration, poppedNS int64, buf []pendingResult, b *core.WorkerBatch) []pendingResult {
 	eng := sub.svc.engine
 	for {
 		sub.mu.Lock()
@@ -742,9 +742,8 @@ func (sub *Subscription) collectDue(now time.Duration, poppedNS int64, buf []pen
 		} else {
 			pos = sub.src.PositionAt(due - sub.t0)
 		}
-		eng.UpdateWaypoint(sub.id, pos)
 		evalStartNS := time.Now().UnixNano()
-		wr, ok := eng.EvaluateDueBatch(sub.id, now, rb)
+		wr, ok := eng.EvaluateDueBatch(sub.id, pos, now, b)
 		evalEndNS := time.Now().UnixNano()
 		if !ok {
 			return buf
